@@ -66,6 +66,26 @@ impl BranchHistory {
         self.len == 0
     }
 
+    /// The raw register contents `(bits, len)`: the directions, newest
+    /// in bit 0, and how many of them are recorded.
+    pub fn to_raw(&self) -> (u64, usize) {
+        (self.bits, self.len())
+    }
+
+    /// Rebuilds a history from [`to_raw`](BranchHistory::to_raw)'s
+    /// pair, or `None` if `len > MAX_HISTORY` or a bit at or above
+    /// `len` is set — [`shift`](BranchHistory::shift) never produces
+    /// either, so such a pair names no register state.
+    pub fn from_raw(bits: u64, len: usize) -> Option<BranchHistory> {
+        if len > MAX_HISTORY || (len < MAX_HISTORY && bits >> len != 0) {
+            return None;
+        }
+        Some(BranchHistory {
+            bits,
+            len: len as u8,
+        })
+    }
+
     /// The low `n` bits as an integer (newest in bit 0) — the form a
     /// gshare-style predictor XORs with the PC.
     ///
@@ -126,6 +146,23 @@ mod tests {
         assert_eq!(h.low_bits(2), 0b01);
         assert_eq!(h.low_bits(3), 0b101);
         assert_eq!(h.low_bits(64), 0b101);
+    }
+
+    #[test]
+    fn raw_round_trips_and_refuses_unreachable_pairs() {
+        let mut h = BranchHistory::new();
+        assert_eq!(BranchHistory::from_raw(0, 0), Some(h));
+        for i in 0..70 {
+            h.shift(i % 3 == 0);
+            let (bits, len) = h.to_raw();
+            assert_eq!(BranchHistory::from_raw(bits, len), Some(h));
+        }
+        assert_eq!(BranchHistory::from_raw(0, MAX_HISTORY + 1), None);
+        assert_eq!(BranchHistory::from_raw(0b100, 2), None);
+        assert_eq!(
+            BranchHistory::from_raw(u64::MAX, MAX_HISTORY).map(|h| h.len()),
+            Some(64)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ mod estimate;
 mod pathprof;
 mod report;
 mod topn;
-mod wire;
+pub(crate) mod wire;
 
 pub use concurrency::{
     estimate_pair_metric, instructions_retired_around, neighborhood_ipc, pipeline_population,

@@ -57,6 +57,13 @@ pub(crate) fn get_uv(bytes: &[u8], pos: &mut usize) -> Result<u64, ProfileError>
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
+            // A zero final byte after a continuation is an overlong
+            // encoding `put_uv` never emits: refusing it keeps every
+            // value's encoding unique, so decoders built on this accept
+            // exactly their encoder's image.
+            if byte == 0 && shift > 0 {
+                return Err(malformed("overlong varint"));
+            }
             return Ok(v);
         }
         shift += 7;
@@ -68,13 +75,13 @@ pub(crate) fn get_uv(bytes: &[u8], pos: &mut usize) -> Result<u64, ProfileError>
 
 pub(crate) fn truncated(what: &str) -> ProfileError {
     ProfileError::Snapshot {
-        reason: format!("sparse wire data truncated reading {what}"),
+        reason: format!("wire data truncated reading {what}"),
     }
 }
 
 pub(crate) fn malformed(what: &str) -> ProfileError {
     ProfileError::Snapshot {
-        reason: format!("malformed sparse wire data: {what}"),
+        reason: format!("malformed wire data: {what}"),
     }
 }
 
@@ -223,6 +230,16 @@ mod tests {
         let bad = [0xff; 11];
         let mut pos = 0;
         assert!(get_uv(&bad, &mut pos).is_err());
+    }
+
+    #[test]
+    fn varint_rejects_overlong_encodings() {
+        for bad in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00], &[0xff, 0x00]] {
+            let mut pos = 0;
+            assert!(get_uv(bad, &mut pos).is_err(), "{bad:02x?}");
+        }
+        let mut pos = 0;
+        assert_eq!(get_uv(&[0x00], &mut pos).unwrap(), 0);
     }
 
     #[test]

@@ -34,11 +34,21 @@ impl Pc {
     ///
     /// Panics if the address is not 4-byte aligned.
     pub const fn new(addr: u64) -> Pc {
-        assert!(
-            addr.is_multiple_of(INST_BYTES),
-            "instruction addresses are 4-byte aligned"
-        );
-        Pc(addr)
+        match Pc::try_new(addr) {
+            Some(pc) => pc,
+            None => panic!("instruction addresses are 4-byte aligned"),
+        }
+    }
+
+    /// Constructs a PC from a byte address, or `None` if the address is
+    /// not 4-byte aligned — the non-panicking form of [`Pc::new`] for
+    /// addresses that arrive from untrusted bytes.
+    pub const fn try_new(addr: u64) -> Option<Pc> {
+        if addr.is_multiple_of(INST_BYTES) {
+            Some(Pc(addr))
+        } else {
+            None
+        }
     }
 
     /// The raw byte address.
@@ -57,8 +67,12 @@ impl Pc {
     }
 
     /// Signed distance from `other` to `self` in instructions.
+    ///
+    /// Exact whenever the byte distance fits in an `i64`; PCs further
+    /// apart (one at or above 2^63, the other low) wrap rather than
+    /// overflow, so a hostile PC can never panic an index lookup.
     pub const fn distance_from(self, other: Pc) -> i64 {
-        (self.0 as i64 - other.0 as i64) / INST_BYTES as i64
+        self.0.wrapping_sub(other.0) as i64 / INST_BYTES as i64
     }
 }
 
@@ -106,6 +120,30 @@ mod tests {
     #[should_panic]
     fn unaligned_rejected() {
         let _ = Pc::new(0x1002);
+    }
+
+    #[test]
+    fn try_new_refuses_unaligned() {
+        assert_eq!(Pc::try_new(0x1000), Some(Pc::new(0x1000)));
+        assert_eq!(Pc::try_new(0x1002), None);
+        assert_eq!(Pc::try_new(u64::MAX), None);
+    }
+
+    #[test]
+    fn distance_at_and_above_2_pow_63_does_not_overflow() {
+        let half = Pc::new(1 << 63);
+        let top = Pc::new(u64::MAX - 3);
+        let low = Pc::new(0x1000);
+        assert_eq!(half.distance_from(half), 0);
+        assert_eq!(half.advance(1).distance_from(half), 1);
+        assert_eq!(half.distance_from(half.advance(1)), -1);
+        assert_eq!(top.distance_from(half), (1 << 61) - 1);
+        // Byte distances below 2^63 stay exact in both directions.
+        assert_eq!(half.distance_from(low), (1 << 61) - 0x400);
+        assert_eq!(low.distance_from(half), 0x400 - (1 << 61));
+        // Further apart than i64 reaches: wraps, never panics.
+        assert_eq!(top.distance_from(Pc::new(0)), -1);
+        assert_eq!(Pc::new(0).distance_from(top), 1);
     }
 
     #[test]

@@ -14,11 +14,17 @@
 //! | type | direction | body |
 //! |---|---|---|
 //! | `0x01` Hello | client → server | `[tenant: u32 LE]` |
-//! | `0x02` Batch | client → server | `[seq: u64 LE][samples: JSON]` |
+//! | `0x02` Batch | client → server | `[seq: u64 LE][samples: PMB1 batch]` |
 //! | `0x03` Bye   | client → server | empty |
 //! | `0x81` HelloAck | server → client | `[last_acked_seq: u64 LE]` |
 //! | `0x82` BatchAck | server → client | `[seq: u64 LE][level: u8][admitted: u64 LE][duplicate: u8]` |
 //! | `0x7F` Err   | server → client | UTF-8 message |
+//!
+//! A Batch body is [`encode_batch`]'s binary layout: the `PMB1` magic,
+//! a varint sample count, then each sample as varints (flags, cycles
+//! as deltas, record fields). [`decode_batch`] checks every byte, so a
+//! body from any other encoder — including the JSON bodies of 0.9.0
+//! producers — earns an `Err` reply and ingests nothing.
 //!
 //! Batch sequence numbers are per-tenant and strictly increasing; the
 //! server remembers the highest acknowledged sequence per tenant **for
@@ -41,7 +47,7 @@
 use crate::degrade::{DegradeLevel, RetryPolicy};
 use crate::tenant::{FleetService, TenantId};
 use crate::wal::{crc32, RECORD_HEADER_BYTES};
-use profileme_core::{ProfileError, Sample};
+use profileme_core::{decode_batch, encode_batch, ProfileError, Sample};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -79,12 +85,19 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
 
 /// Reads one frame, verifying length bound and CRC. `Ok(None)` on a
 /// clean EOF at a frame boundary.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+///
+/// A read timeout before the frame's first byte surfaces as the
+/// timeout error — the caller's idle signal. With `stop`, a timeout
+/// once the frame has started is retried until the flag is raised
+/// (then it surfaces too), so a peer that pauses mid-frame is not
+/// desynchronized; without `stop`, every timeout surfaces.
+fn read_frame(
+    stream: &mut TcpStream,
+    stop: Option<&AtomicBool>,
+) -> std::io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; RECORD_HEADER_BYTES as usize];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    if !fill(stream, &mut header, stop, true)? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
@@ -95,7 +108,7 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
         ));
     }
     let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    fill(stream, &mut payload, stop, false)?;
     if crc32(&payload) != crc {
         return Err(std::io::Error::new(
             ErrorKind::InvalidData,
@@ -103,6 +116,36 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
         ));
     }
     Ok(Some(payload))
+}
+
+/// Fills `buf` from `stream` (see [`read_frame`] for the timeout
+/// rules; `at_boundary` marks `buf` as the start of a frame). Returns
+/// `Ok(false)` on EOF before the first byte at a boundary.
+fn fill(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    stop: Option<&AtomicBool>,
+    at_boundary: bool,
+) -> std::io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 && at_boundary => return Ok(false),
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if is_timeout(&e)
+                    && (filled > 0 || !at_boundary)
+                    && stop.is_some_and(|s| !s.load(Ordering::Acquire)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 fn net_err(what: &str, e: &std::io::Error) -> ProfileError {
@@ -212,10 +255,10 @@ fn serve_connection(
     drop(stream.set_read_timeout(Some(READ_SLICE)));
     let mut tenant: Option<TenantId> = None;
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut stream, Some(stop)) {
             Ok(Some(p)) => p,
             Ok(None) => return,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(e) if is_timeout(&e) => {
                 if stop.load(Ordering::Acquire) {
                     return;
                 }
@@ -289,9 +332,9 @@ fn handle_message(
                 // again without re-ingesting.
                 return batch_ack(seq, DegradeLevel::Full, 0, true);
             }
-            let samples: Vec<Sample> = match serde_json::from_slice(&payload[9..]) {
+            let samples = match decode_batch(&payload[9..]) {
                 Ok(samples) => samples,
-                Err(e) => return err(&format!("undecodable samples: {e}")),
+                Err(e) => return err(&e.to_string()),
             };
             let offered = samples.len() as u64;
             match service.ingest_batch(id, samples) {
@@ -456,7 +499,7 @@ impl FleetClient {
         let mut hello = vec![MSG_HELLO];
         hello.extend_from_slice(&self.tenant.0.to_le_bytes());
         write_frame(&mut stream, &hello).map_err(|e| net_err("send Hello", &e))?;
-        let reply = read_frame(&mut stream)
+        let reply = read_frame(&mut stream, None)
             .map_err(|e| net_err("read HelloAck", &e))?
             .ok_or_else(|| ProfileError::net("connection closed during Hello"))?;
         if reply.first() != Some(&MSG_HELLO_ACK) || reply.len() != 9 {
@@ -483,12 +526,11 @@ impl FleetClient {
     /// server's dedup stays correct).
     pub fn send(&mut self, samples: &[Sample]) -> Result<BatchAck, ProfileError> {
         let seq = self.next_seq + 1;
-        let body = serde_json::to_string(&samples.to_vec())
-            .map_err(|e| ProfileError::net(format!("samples failed to serialize: {e}")))?;
-        let mut payload = Vec::with_capacity(body.len() + 9);
+        // ~35 bytes per sample on real batches; a guess, not a bound.
+        let mut payload = Vec::with_capacity(16 + samples.len() * 48);
         payload.push(MSG_BATCH);
         payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(body.as_bytes());
+        encode_batch(samples, &mut payload);
 
         let mut last_err: Option<ProfileError> = None;
         for attempt in 0..=self.cfg.retry.max_retries {
@@ -533,7 +575,7 @@ impl FleetClient {
         }
         let stream = self.stream.as_mut().expect("just connected");
         write_frame(stream, payload).map_err(|e| net_err("send Batch", &e))?;
-        let reply = read_frame(stream)
+        let reply = read_frame(stream, None)
             .map_err(|e| net_err("read BatchAck", &e))?
             .ok_or_else(|| ProfileError::net("connection closed awaiting BatchAck"))?;
         match reply.first() {

@@ -68,9 +68,23 @@ impl EventSet {
         self.0 & events.0 == events.0
     }
 
+    /// Every defined event bit.
+    const ALL_BITS: u32 = (1 << 10) - 1;
+
     /// The raw bit representation.
     pub const fn bits(self) -> u32 {
         self.0
+    }
+
+    /// The event set with raw representation `bits`, or `None` if
+    /// `bits` sets any bit no event is defined for — the inverse of
+    /// [`bits`](EventSet::bits) for bytes from outside the process.
+    pub const fn from_bits(bits: u32) -> Option<EventSet> {
+        if bits & !Self::ALL_BITS == 0 {
+            Some(EventSet(bits))
+        } else {
+            None
+        }
     }
 
     /// Whether no events are recorded.
@@ -129,6 +143,15 @@ mod tests {
         assert!(e.contains(EventSet::DCACHE_MISS));
         assert!(e.contains(EventSet::DTLB_MISS));
         assert!(!e.contains(EventSet::DCACHE_MISS | EventSet::RETIRED));
+    }
+
+    #[test]
+    fn from_bits_inverts_bits_and_refuses_undefined() {
+        let e = EventSet::DCACHE_MISS | EventSet::MEMORY_OP | EventSet::RETIRED;
+        assert_eq!(EventSet::from_bits(e.bits()), Some(e));
+        assert_eq!(EventSet::from_bits(0), Some(EventSet::new()));
+        assert_eq!(EventSet::from_bits(1 << 10), None);
+        assert_eq!(EventSet::from_bits(u32::MAX), None);
     }
 
     #[test]
