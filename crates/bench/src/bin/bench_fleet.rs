@@ -23,7 +23,7 @@
 //! * `PROFILEME_REQUIRE_FLEET_FAIRNESS=1` exits nonzero if any clause
 //!   of the fairness verdict fails — the CI isolation gate.
 
-use profileme_bench::engine::{env, Emitter};
+use profileme_bench::engine::{env, percentile, Emitter};
 use profileme_bench::scaled;
 use profileme_core::{ProfileDatabase, ProfileMeConfig, Sample, Session, WireFormat};
 use profileme_serve::{FleetConfig, FleetService, ServeConfig, TenantId, TenantQuota};
@@ -75,25 +75,6 @@ struct Report {
     fairness_ok: bool,
 }
 
-/// Nearest-rank percentile over an unsorted pool of latencies.
-fn percentile(pool: &[f64], p: f64) -> f64 {
-    if pool.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = pool.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn reps() -> u32 {
-    std::env::var("PROFILEME_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
 fn require_fairness() -> bool {
     std::env::var("PROFILEME_REQUIRE_FLEET_FAIRNESS").is_ok_and(|v| v == "1")
 }
@@ -134,7 +115,7 @@ fn main() {
         "Fleet fairness — per-tenant quotas and degradation under a noisy neighbor",
         "repo infrastructure (not a paper figure)",
     );
-    let reps = reps();
+    let reps = env::reps();
     let w = workloads::compress(scaled(40_000));
     let target = scaled(120_000) as usize;
     let (stream, interval) = sample_stream(&w, target);
@@ -193,6 +174,7 @@ fn main() {
                     (TenantId(2), quota_noisy),
                 ],
                 epoch_retain: 4,
+                ..FleetConfig::default()
             },
         )
         .expect("fleet starts");

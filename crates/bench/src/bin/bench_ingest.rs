@@ -42,7 +42,7 @@
 //!   service with that fault plan injected, asserting exact loss
 //!   accounting — and byte-identity whenever the plan loses nothing.
 
-use profileme_bench::engine::{env, Emitter};
+use profileme_bench::engine::{env, percentile, Emitter};
 use profileme_bench::scaled;
 use profileme_core::{ProfileDatabase, ProfileMeConfig, Sample, Session, WireFormat};
 use profileme_serve::{ServeConfig, ShardedService};
@@ -156,37 +156,12 @@ impl Timing {
     }
 }
 
-/// Nearest-rank percentile over an unsorted pool of latencies.
-fn percentile(pool: &[f64], p: f64) -> f64 {
-    if pool.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = pool.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn reps() -> u32 {
-    std::env::var("PROFILEME_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
 fn require_ingest_ok() -> bool {
     std::env::var("PROFILEME_REQUIRE_INGEST_OK").is_ok_and(|v| v == "1")
 }
 
 fn require_sharding_wins() -> bool {
     std::env::var("PROFILEME_REQUIRE_SHARDING_WINS").is_ok_and(|v| v == "1")
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Profiles `w` once, then cycles the run's samples up to `target`
@@ -428,8 +403,8 @@ fn main() {
         "Sharded ingest throughput — ShardedService vs direct aggregation",
         "repo infrastructure (not a paper figure)",
     );
-    let reps = reps();
-    let cores = cores();
+    let reps = env::reps();
+    let cores = env::cores();
     out.say(format!("machine: {cores} core(s) available"));
     let workloads = [
         workloads::compress(scaled(40_000)),

@@ -38,7 +38,7 @@
 //!   configuration (the gate binds at ≥2 shards; 1-shard cells are
 //!   reported for context only).
 
-use profileme_bench::engine::{env, Emitter};
+use profileme_bench::engine::{env, percentile, Emitter};
 use profileme_bench::scaled;
 use profileme_core::{ProfileDatabase, ProfileField, ProfileMeConfig, Sample, Session, WireFormat};
 use profileme_serve::{ServeConfig, ShardedService, SnapshotPlane};
@@ -150,33 +150,8 @@ struct Report {
     baseline_deltas: Vec<Delta>,
 }
 
-/// Nearest-rank percentile over an unsorted pool of latencies.
-fn percentile(pool: &[f64], p: f64) -> f64 {
-    if pool.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = pool.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn reps() -> u32 {
-    std::env::var("PROFILEME_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
 fn require_snapshot_wins() -> bool {
     std::env::var("PROFILEME_REQUIRE_SNAPSHOT_WINS").is_ok_and(|v| v == "1")
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Profiles `w` once and cycles the run's samples up to `target`, so
@@ -486,8 +461,8 @@ fn main() {
         "Snapshot-cycle cost — delta plane vs dense full clones",
         "repo infrastructure (not a paper figure)",
     );
-    let reps = reps();
-    let cores = cores();
+    let reps = env::reps();
+    let cores = env::cores();
     let cycles = scaled(240);
     out.say(format!(
         "machine: {cores} core(s); {reps} rep(s), {WARMUP} warmup + {cycles} timed cycles each"

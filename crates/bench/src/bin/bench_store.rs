@@ -42,22 +42,8 @@ const SNAPSHOT_EVERY: usize = 4;
 /// The overhead gate: WAL-on may cost at most this much.
 const MAX_OVERHEAD_PCT: f64 = 15.0;
 
-fn reps() -> u32 {
-    std::env::var("PROFILEME_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
 fn require_store_ok() -> bool {
     std::env::var("PROFILEME_REQUIRE_STORE_OK").is_ok_and(|v| v == "1")
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// A scratch store directory, removed on drop.
@@ -294,8 +280,8 @@ fn main() {
         "Durable-store cost — WAL overhead, recovery scaling, compaction",
         "repo infrastructure (not a paper figure)",
     );
-    let reps = reps();
-    let cores = cores();
+    let reps = env::reps();
+    let cores = env::cores();
     out.say(format!(
         "machine: {cores} core(s); best of {reps} rep(s) per cell"
     ));

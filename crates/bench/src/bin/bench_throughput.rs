@@ -47,14 +47,6 @@ struct Report {
     speedup: f64,
 }
 
-fn reps() -> u32 {
-    std::env::var("PROFILEME_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
 /// The `PROFILEME_BENCH_ONLY` workload filter, if set.
 fn only() -> Option<Vec<String>> {
     let raw = std::env::var("PROFILEME_BENCH_ONLY").ok()?;
@@ -104,7 +96,7 @@ fn main() {
         "Simulator throughput — event-driven vs polling scheduler",
         "repo infrastructure (not a paper figure)",
     );
-    let reps = reps();
+    let reps = env::reps();
     let mut workloads = suite(scaled(60_000));
     let filter = only();
     if let Some(names) = &filter {

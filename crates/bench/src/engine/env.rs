@@ -6,6 +6,7 @@
 //! | `PROFILEME_SCALE` | run-length multiplier | `1.0` |
 //! | `PROFILEME_JOBS` | worker threads for the cell grid | available parallelism |
 //! | `PROFILEME_DUMP_DIR` | directory for JSON data series | unset (no dumps) |
+//! | `PROFILEME_BENCH_REPS` | repetitions per `bench_*` cell | `3` |
 //!
 //! Each variable has a pure `parse_*` function over `Option<&str>` so
 //! edge cases are unit-testable without mutating process state.
@@ -18,6 +19,8 @@ pub const SCALE_VAR: &str = "PROFILEME_SCALE";
 pub const JOBS_VAR: &str = "PROFILEME_JOBS";
 /// Name of the JSON dump directory variable.
 pub const DUMP_DIR_VAR: &str = "PROFILEME_DUMP_DIR";
+/// Name of the `bench_*` repetition-count variable.
+pub const REPS_VAR: &str = "PROFILEME_BENCH_REPS";
 
 /// Parses a `PROFILEME_SCALE` value: a positive finite float, defaulting
 /// to 1.0 when unset, non-numeric, zero, or negative.
@@ -33,6 +36,12 @@ pub fn parse_jobs(raw: Option<&str>, default: usize) -> usize {
     raw.and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&v| v > 0)
         .unwrap_or(default.max(1))
+}
+
+/// Parses a `PROFILEME_BENCH_REPS` value: a non-negative integer
+/// floored at 1, defaulting to 3 when unset or non-numeric.
+pub fn parse_reps(raw: Option<&str>) -> u32 {
+    raw.and_then(|s| s.parse().ok()).unwrap_or(3).max(1)
 }
 
 /// The run-length multiplier from `PROFILEME_SCALE` (default 1.0).
@@ -51,6 +60,18 @@ pub fn scaled(base: u64) -> u64 {
 pub fn jobs() -> usize {
     let default = std::thread::available_parallelism().map_or(1, |n| n.get());
     parse_jobs(std::env::var(JOBS_VAR).ok().as_deref(), default)
+}
+
+/// Repetitions per `bench_*` cell from `PROFILEME_BENCH_REPS`
+/// (default 3, at least 1).
+pub fn reps() -> u32 {
+    parse_reps(std::env::var(REPS_VAR).ok().as_deref())
+}
+
+/// The machine's available parallelism (1 when unknown): the core
+/// count every `bench_*` record and gate is tagged with.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The JSON dump directory from `PROFILEME_DUMP_DIR`, if set.
@@ -94,6 +115,15 @@ mod tests {
         assert_eq!(parse_jobs(Some("-1"), 8), 8);
         assert_eq!(parse_jobs(Some("many"), 8), 8);
         assert_eq!(parse_jobs(None, 0), 1, "a zero default is clamped");
+    }
+
+    #[test]
+    fn reps_default_to_three_and_floor_at_one() {
+        assert_eq!(parse_reps(None), 3);
+        assert_eq!(parse_reps(Some("7")), 7);
+        assert_eq!(parse_reps(Some("0")), 1);
+        assert_eq!(parse_reps(Some("many")), 3);
+        assert_eq!(parse_reps(Some(" 4 ")), 3, "no trimming, as before");
     }
 
     #[test]

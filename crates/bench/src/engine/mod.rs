@@ -69,6 +69,18 @@ impl Experiment {
     }
 }
 
+/// Nearest-rank percentile (`p` in `[0, 1]`) over an unsorted pool of
+/// latencies; 0 for an empty pool.
+pub fn percentile(pool: &[f64], p: f64) -> f64 {
+    if pool.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = pool.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
 /// Runs a workload with no profiling hardware and returns exact stats —
 /// the ground-truth baseline cells compare estimates against.
 ///
@@ -94,5 +106,14 @@ mod tests {
         let cells = product(&[10u64, 20], &[1u64, 2, 3]);
         let results = exp.run(&cells, |&(a, b)| a + b);
         assert_eq!(results, vec![11, 12, 13, 21, 22, 23]);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let pool = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(percentile(&pool, 0.50), 3.0);
+        assert_eq!(percentile(&pool, 0.99), 5.0);
+        assert_eq!(percentile(&pool, 0.0), 1.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 }

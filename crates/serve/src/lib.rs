@@ -25,10 +25,11 @@
 //!   [`snapshot_deadline`](ShardedService::snapshot_deadline), and
 //!   [`shutdown_deadline`](ShardedService::shutdown_deadline) never
 //!   block past their budget, even in front of a wedged worker;
-//! * **graceful degradation** ([`DegradeConfig`]): the adaptive ingest
-//!   path watches queue pressure and walks a Full → Sampled → Shed
-//!   ladder with hysteresis instead of letting overload take the
-//!   daemon down;
+//! * **graceful degradation** ([`FleetService`], [`FleetConfig::degrade`]):
+//!   admission walks each tenant's own Full → Sampled → Shed ladder
+//!   with hysteresis instead of letting overload take the daemon down.
+//!   It is the only layer that thins or sheds: [`ShardedService`] is
+//!   pure mechanism, so single-tenant degradation is a fleet of one;
 //! * **deterministic fault injection** ([`FaultPlan`], behind the
 //!   `fault-injection` cargo feature): seedable panic/delay/stall
 //!   plans (`panic:shard=2:nth=3`) drive reproducible chaos tests of
@@ -155,14 +156,26 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
-        let bad = ServeConfig {
+    }
+
+    #[test]
+    fn fleet_config_validates_its_degradation_ladder() {
+        let quota = TenantQuota::default();
+        assert!(FleetConfig::uniform(1, quota).validate().is_ok());
+        let bad = FleetConfig {
             degrade: DegradeConfig {
                 thin_k: 0,
                 ..Default::default()
             },
-            ..Default::default()
+            ..FleetConfig::uniform(1, quota)
         };
-        assert!(bad.validate().is_err());
+        assert!(matches!(
+            bad.validate(),
+            Err(ProfileError::Config {
+                field: "thin_k",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -230,72 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn offer_counts_drops_when_full() {
-        let (run, program) = sample_run();
-        let svc = ShardedService::start(
-            ProfileDatabase::new(&program, run.db.interval()),
-            ServeConfig::builder()
-                .shards(1)
-                .queue_depth(1)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let mut accepted = 0u64;
-        let mut dropped = 0u64;
-        for s in &run.samples {
-            if svc.offer(s.clone()) {
-                accepted += 1;
-            } else {
-                dropped += 1;
-            }
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.enqueued, accepted);
-        assert_eq!(stats.dropped, dropped);
-        assert_eq!(accepted + dropped, run.samples.len() as u64);
-        if dropped > 0 {
-            // Losses must flip the fidelity self-check.
-            assert!(matches!(
-                svc.check_full_fidelity(),
-                Err(ProfileError::Degraded { level: 0, lost }) if lost == dropped
-            ));
-        }
-        let (final_db, _) = svc.shutdown().unwrap();
-        assert_eq!(final_db.total_samples, accepted);
-    }
-
-    #[test]
-    fn offer_with_retry_counts_retries_and_never_miscounts() {
-        let (run, program) = sample_run();
-        let svc = ShardedService::start(
-            ProfileDatabase::new(&program, run.db.interval()),
-            ServeConfig::builder()
-                .shards(1)
-                .queue_depth(1)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let policy = RetryPolicy {
-            max_retries: 3,
-            seed: 11,
-            ..Default::default()
-        };
-        let mut accepted = 0u64;
-        for s in &run.samples {
-            if svc.offer_with_retry(s.clone(), &policy) {
-                accepted += 1;
-            }
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.enqueued, accepted);
-        assert_eq!(stats.enqueued + stats.dropped, run.samples.len() as u64);
-        let (final_db, _) = svc.shutdown().unwrap();
-        assert_eq!(final_db.total_samples, accepted);
-    }
-
-    #[test]
     fn deadline_paths_succeed_on_a_healthy_service() {
         let (run, program) = sample_run();
         let svc = ShardedService::start(
@@ -308,37 +255,9 @@ mod tests {
         let snap = svc.snapshot_deadline(Duration::from_secs(30)).unwrap();
         assert_eq!(snap.merged.total_samples, run.samples.len() as u64);
         assert_eq!(snap.stats.deadline_misses, 0);
-        svc.check_full_fidelity().unwrap();
+        assert_eq!(snap.stats.lost(), 0);
         let (final_db, stats) = svc.shutdown_deadline(Duration::from_secs(30)).unwrap();
         assert_eq!(stats.lost(), 0);
-        assert_eq!(
-            final_db.encode(WireFormat::Sparse).unwrap(),
-            run.db.encode(WireFormat::Sparse).unwrap()
-        );
-    }
-
-    #[test]
-    fn adaptive_ingest_is_lossless_at_full_fidelity() {
-        let (run, program) = sample_run();
-        let svc = ShardedService::start(
-            ProfileDatabase::new(&program, run.db.interval()),
-            ServeConfig::builder()
-                .shards(2)
-                .queue_depth(1024)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        // Generous queues: pressure never reaches the high-water mark,
-        // so the ladder stays at Full and nothing is thinned or shed.
-        for chunk in run.samples.chunks(64) {
-            let level = svc.ingest_adaptive(chunk.to_vec());
-            assert_eq!(level, DegradeLevel::Full);
-        }
-        let (final_db, stats) = svc.shutdown().unwrap();
-        assert_eq!(stats.degrade_level, 0);
-        assert_eq!((stats.thinned, stats.shed, stats.lost()), (0, 0, 0));
-        assert_eq!(stats.thin_scale, DegradeConfig::default().thin_k);
         assert_eq!(
             final_db.encode(WireFormat::Sparse).unwrap(),
             run.db.encode(WireFormat::Sparse).unwrap()

@@ -40,9 +40,8 @@
 //!
 //! [`FleetClient`] does deadline-bounded connects
 //! ([`TcpStream::connect_timeout`]) and full-jitter exponential
-//! backoff via the existing [`RetryPolicy`] — the same policy the
-//! in-process `offer_with_retry` path uses — reconnecting and
-//! resending unacknowledged batches across a server restart.
+//! backoff via [`RetryPolicy`], reconnecting and resending
+//! unacknowledged batches across a server restart.
 
 use crate::degrade::{DegradeLevel, RetryPolicy};
 use crate::tenant::{FleetService, TenantId};
@@ -336,20 +335,12 @@ fn handle_message(
                 Ok(samples) => samples,
                 Err(e) => return err(&e.to_string()),
             };
-            let offered = samples.len() as u64;
-            match service.ingest_batch(id, samples) {
-                Ok(level) => {
+            match service.admit_batch(id, samples) {
+                Ok((level, admitted)) => {
                     acked
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .insert(id.0, seq);
-                    let admitted = match level {
-                        DegradeLevel::Full => offered,
-                        DegradeLevel::Sampled => {
-                            offered.div_ceil(service.service().stats().thin_scale.max(1))
-                        }
-                        DegradeLevel::Shed => 0,
-                    };
                     batch_ack(seq, level, admitted, false)
                 }
                 Err(e) => err(&e.to_string()),
@@ -406,7 +397,8 @@ pub struct BatchAck {
     pub seq: u64,
     /// The fidelity the tenant's ladder applied to this batch.
     pub level: DegradeLevel,
-    /// Samples admitted from this batch (after thinning/shedding).
+    /// Samples from this batch that reached a shard ring: after
+    /// thinning or shedding, and 0 if the push hit a crashed shard.
     pub admitted: u64,
     /// Whether the server had already ingested this sequence (a retry
     /// after a lost ack, or a reconnect within one server run).

@@ -24,13 +24,16 @@
 //! invariant across worker panics: whenever
 //! [`IngestStats::lost`] is zero, the recovered snapshot is still
 //! byte-identical to direct aggregation; when samples *were* lost —
-//! via the lossy [`offer`](ShardedService::offer) path, deadline
-//! expiry, degradation, or a twice-panicking message — every loss is
-//! counted exactly, per class, in [`IngestStats`].
+//! to deadline expiry, a crashed shard's closed ring, or a
+//! twice-panicking message — every loss is counted exactly, per
+//! class, in [`IngestStats`].
+//!
+//! The service is pure mechanism: it never thins, sheds, or retries.
+//! Admission policy lives in [`FleetService`](crate::FleetService)
+//! alone; single-tenant degradation is `FleetConfig::uniform(1, quota)`.
 //!
 //! [`ProfileDatabase::add`]: profileme_core::ProfileDatabase::add
 
-use crate::degrade::{DegradeConfig, DegradeLevel, OverloadController, RetryPolicy};
 use crate::faults::ActiveFaults;
 use crate::ring::{RingBuffer, TryPushError};
 use crate::store::{ProfileStore, StoreConfig, StoreStats};
@@ -284,8 +287,8 @@ impl SnapshotPlane {
 /// Configuration of the sharded ingest layer.
 ///
 /// Prefer [`ServeConfig::builder`] over struct-literal construction:
-/// the builder validates at `build()` and maps 1:1 onto the
-/// `profileme serve` CLI flags.
+/// the builder validates at `build()`, so the `profileme serve` flags
+/// it backs are rejected exactly when the library rejects them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 #[non_exhaustive]
 pub struct ServeConfig {
@@ -297,8 +300,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Worker supervision: panic recovery via checkpoint + journal.
     pub supervise: SuperviseConfig,
-    /// Overload degradation ladder for the adaptive ingest path.
-    pub degrade: DegradeConfig,
     /// Snapshot data plane: sparse deltas into a materialized view
     /// (the default), or full clones re-merged every cycle.
     pub plane: SnapshotPlane,
@@ -314,7 +315,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_depth: 64,
             supervise: SuperviseConfig::default(),
-            degrade: DegradeConfig::default(),
             plane: SnapshotPlane::default(),
             store: None,
         }
@@ -337,8 +337,8 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Rejects zero shards, a zero queue depth, invalid supervision,
-    /// degradation, or store settings, and a store on the dense plane
+    /// Rejects zero shards, a zero queue depth, invalid supervision or
+    /// store settings, and a store on the dense plane
     /// (the WAL records the delta plane's publications).
     pub fn validate(&self) -> Result<(), ProfileError> {
         if self.shards == 0 {
@@ -351,7 +351,6 @@ impl ServeConfig {
             ));
         }
         self.supervise.validate()?;
-        self.degrade.validate()?;
         if let Some(store) = &self.store {
             store.validate()?;
             if self.plane != SnapshotPlane::Delta {
@@ -366,8 +365,9 @@ impl ServeConfig {
 }
 
 /// Builds a validated [`ServeConfig`]. Obtained from
-/// [`ServeConfig::builder`]; every setter maps 1:1 onto a
-/// `profileme serve` flag.
+/// [`ServeConfig::builder`]. Setters backed by a `profileme serve`
+/// flag name it; the rest (`queue_depth`, `supervise`, `store`) are
+/// library-only.
 ///
 /// ```
 /// use profileme_serve::ServeConfig;
@@ -395,29 +395,21 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Ring capacity per shard, in messages. CLI: `--queue-depth`.
+    /// Ring capacity per shard, in messages.
     #[must_use]
     pub fn queue_depth(mut self, queue_depth: usize) -> ServeConfigBuilder {
         self.cfg.queue_depth = queue_depth;
         self
     }
 
-    /// Worker supervision settings. CLI: `--no-supervise` (and
-    /// friends) map onto the [`SuperviseConfig`] fields.
+    /// Worker supervision settings (see [`SuperviseConfig`]).
     #[must_use]
     pub fn supervise(mut self, supervise: SuperviseConfig) -> ServeConfigBuilder {
         self.cfg.supervise = supervise;
         self
     }
 
-    /// Overload degradation ladder. CLI: the `--degrade-*` flags.
-    #[must_use]
-    pub fn degrade(mut self, degrade: DegradeConfig) -> ServeConfigBuilder {
-        self.cfg.degrade = degrade;
-        self
-    }
-
-    /// Snapshot data plane. CLI: `--plane {dense,delta}`.
+    /// Snapshot data plane. CLI: `--wire {dense,delta}`.
     #[must_use]
     pub fn plane(mut self, plane: SnapshotPlane) -> ServeConfigBuilder {
         self.cfg.plane = plane;
@@ -498,23 +490,19 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Backpressure, fault, and degradation accounting for the ingest
-/// layer. All counters are cumulative since service start.
+/// Backpressure and fault accounting for the ingest layer. All
+/// counters are cumulative since service start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct IngestStats {
     /// Aggregator shards.
     pub shards: usize,
     /// Items accepted onto shard rings.
     pub enqueued: u64,
-    /// Items that never reached an aggregator: lossy
-    /// [`offer`](ShardedService::offer) rejections, pushes onto a
-    /// crashed shard's closed ring, items abandoned when an
+    /// Items that never reached an aggregator: pushes onto a crashed
+    /// shard's closed ring, items abandoned when an
     /// [`ingest_deadline`](ShardedService::ingest_deadline) expired,
     /// and items left behind in a crashed shard's ring.
     pub dropped: u64,
-    /// Backoff retries taken by
-    /// [`offer_with_retry`](ShardedService::offer_with_retry).
-    pub retried: u64,
     /// Deepest any shard ring has been, in messages.
     pub high_water: usize,
     /// Snapshot cycles served so far.
@@ -529,23 +517,6 @@ pub struct IngestStats {
     pub lost_to_panics: u64,
     /// Checkpoints taken across all shards.
     pub checkpoints: u64,
-    /// Current degradation ladder position (0 = full fidelity,
-    /// 1 = sampled, 2 = shedding).
-    pub degrade_level: u8,
-    /// Ladder downshifts so far.
-    pub downshifts: u64,
-    /// Ladder upshifts so far.
-    pub upshifts: u64,
-    /// Items discarded by deterministic 1-in-k thinning at the
-    /// `Sampled` level.
-    pub thinned: u64,
-    /// The thinning scale factor k: during `Sampled` intervals the
-    /// aggregated counts represent roughly k× the usual weight (the
-    /// paper's sampling-period reasoning — record the period, scale
-    /// the estimate).
-    pub thin_scale: u64,
-    /// Items dropped whole at the `Shed` level.
-    pub shed: u64,
     /// Deadline-bounded calls that ran out of budget.
     pub deadline_misses: u64,
     /// Delta publications shipped through the snapshot mailboxes
@@ -563,7 +534,7 @@ impl IngestStats {
     /// zero, the merged snapshot is byte-identical to direct
     /// single-threaded aggregation.
     pub fn lost(&self) -> u64 {
-        self.dropped + self.lost_to_panics + self.thinned + self.shed
+        self.dropped + self.lost_to_panics
     }
 }
 
@@ -604,10 +575,6 @@ impl<A: ShardAggregate> Shard<A> {
         self.counters.dropped.fetch_add(items, Ordering::Relaxed);
     }
 
-    fn fill_pct(&self) -> u8 {
-        (self.ring.len() * 100 / self.ring.capacity().max(1)).min(100) as u8
-    }
-
     /// Waits (optionally bounded) for the worker's final accumulator.
     fn reap(&self, timeout: Option<Duration>) -> Result<A, mpsc::RecvTimeoutError> {
         let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
@@ -644,7 +611,6 @@ pub struct ShardedService<A: ShardAggregate> {
     snapshots: AtomicU64,
     deadline_misses: AtomicU64,
     view_refreshes: AtomicU64,
-    degrade: OverloadController,
     faults: Option<Arc<ActiveFaults>>,
     /// Serializes snapshot cycles so each shard has at most one
     /// outstanding [`SnapShared`] request, and owns the delta plane's
@@ -757,7 +723,6 @@ impl<A: ShardAggregate> ShardedService<A> {
             snapshots: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             view_refreshes: AtomicU64::new(0),
-            degrade: OverloadController::new(config.degrade),
             faults,
             snap_cycle: Mutex::new(view),
         })
@@ -789,56 +754,6 @@ impl<A: ShardAggregate> ShardedService<A> {
             Ok(()) => shard.accept(1),
             Err(_) => shard.drop_items(1),
         }
-    }
-
-    /// Lossy ingest of one item: returns `false` (and counts a drop)
-    /// instead of blocking when the target ring is full — the
-    /// load-shedding path a real daemon uses under overload.
-    pub fn offer(&self, item: A::Item) -> bool {
-        let shard = &self.shards[A::shard_of(&item, self.shards.len())];
-        match shard.ring.try_push(Msg::Work(Work::One(item))) {
-            Ok(()) => {
-                shard.accept(1);
-                true
-            }
-            Err(TryPushError::Full(_) | TryPushError::Closed(_)) => {
-                shard.drop_items(1);
-                false
-            }
-        }
-    }
-
-    /// [`offer`](ShardedService::offer) with jittered
-    /// exponential-backoff retries: on a full ring, sleep per
-    /// `policy` and try again, up to `policy.max_retries` times, then
-    /// drop with accounting. Retries are counted per shard in
-    /// [`IngestStats::retried`].
-    pub fn offer_with_retry(&self, item: A::Item, policy: &RetryPolicy) -> bool {
-        let shard_idx = A::shard_of(&item, self.shards.len());
-        let shard = &self.shards[shard_idx];
-        let mut msg = Msg::Work(Work::One(item));
-        for attempt in 0..=policy.max_retries {
-            match shard.ring.try_push(msg) {
-                Ok(()) => {
-                    shard.accept(1);
-                    return true;
-                }
-                Err(TryPushError::Closed(_)) => {
-                    shard.drop_items(1);
-                    return false;
-                }
-                Err(TryPushError::Full(returned)) => {
-                    if attempt == policy.max_retries {
-                        shard.drop_items(1);
-                        return false;
-                    }
-                    msg = returned;
-                    shard.counters.retried.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(policy.backoff(attempt, shard_idx as u64));
-                }
-            }
-        }
-        unreachable!("the loop returns on success, close, or final retry");
     }
 
     /// Lossless batched ingest: hands the whole batch to the next
@@ -934,34 +849,6 @@ impl<A: ShardAggregate> ShardedService<A> {
                 Ok(())
             }
         }
-    }
-
-    /// Adaptive ingest under the overload controller: observes ring
-    /// pressure, then delivers the batch at the resulting
-    /// [`DegradeLevel`] — in full, thinned 1-in-k with the scale
-    /// factor recorded, or shed whole with accounting. Returns the
-    /// level that was applied.
-    pub fn ingest_adaptive(&self, items: Vec<A::Item>) -> DegradeLevel {
-        let fill = self.shards.iter().map(Shard::fill_pct).max().unwrap_or(0);
-        let level = self.degrade.observe(fill);
-        match level {
-            DegradeLevel::Full => self.ingest_batch(items),
-            DegradeLevel::Sampled => {
-                let k = self.degrade.config().thin_k as usize;
-                let before = items.len();
-                // Deterministic 1-in-k thinning: keep every k-th item
-                // by stream position, independent of thread timing.
-                let kept: Vec<A::Item> = items
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, item)| (i % k == 0).then_some(item))
-                    .collect();
-                self.degrade.count_thinned((before - kept.len()) as u64);
-                self.ingest_batch(kept);
-            }
-            DegradeLevel::Shed => self.degrade.count_shed(items.len() as u64),
-        }
-        level
     }
 
     /// One watermark→publish→merge snapshot cycle: each shard records
@@ -1167,8 +1054,7 @@ impl<A: ShardAggregate> ShardedService<A> {
         }
     }
 
-    /// Current backpressure, fault, and degradation accounting across
-    /// all shards.
+    /// Current backpressure and fault accounting across all shards.
     pub fn stats(&self) -> IngestStats {
         let sum = |f: &dyn Fn(&ShardCounters) -> &AtomicU64| -> u64 {
             self.shards
@@ -1176,12 +1062,10 @@ impl<A: ShardAggregate> ShardedService<A> {
                 .map(|s| f(&s.counters).load(Ordering::Relaxed))
                 .sum()
         };
-        let (downshifts, upshifts, thinned, shed) = self.degrade.counters();
         IngestStats {
             shards: self.shards.len(),
             enqueued: sum(&|c| &c.enqueued),
             dropped: sum(&|c| &c.dropped),
-            retried: sum(&|c| &c.retried),
             high_water: self
                 .shards
                 .iter()
@@ -1193,35 +1077,11 @@ impl<A: ShardAggregate> ShardedService<A> {
             workers_recovered: sum(&|c| &c.recoveries),
             lost_to_panics: sum(&|c| &c.lost_to_panics),
             checkpoints: sum(&|c| &c.checkpoints),
-            degrade_level: self.degrade.level().as_u8(),
-            downshifts,
-            upshifts,
-            thinned,
-            thin_scale: self.degrade.config().thin_k,
-            shed,
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             deltas_published: sum(&|c| &c.deltas_published),
             delta_bytes: sum(&|c| &c.delta_bytes),
             view_refreshes: self.view_refreshes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Self-check for downstream gating: `Ok` only while the service
-    /// is at full fidelity with zero losses of any class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileError::Degraded`] carrying the current ladder
-    /// level and the exact loss count.
-    pub fn check_full_fidelity(&self) -> Result<(), ProfileError> {
-        let stats = self.stats();
-        if stats.degrade_level != 0 || stats.lost() > 0 {
-            return Err(ProfileError::Degraded {
-                level: stats.degrade_level,
-                lost: stats.lost(),
-            });
-        }
-        Ok(())
     }
 
     /// Closes every ring, drains the workers, and returns the final

@@ -264,7 +264,6 @@ impl<A> SnapShared<A> {
 pub(crate) struct ShardCounters {
     pub enqueued: AtomicU64,
     pub dropped: AtomicU64,
-    pub retried: AtomicU64,
     pub panics: AtomicU64,
     pub recoveries: AtomicU64,
     pub lost_to_panics: AtomicU64,

@@ -23,13 +23,18 @@
 //!    ([`TenantStats`]), and an [`EpochRing`] of retained snapshots for
 //!    time-windowed per-tenant deltas.
 //!
+//! This module is the service's only admission-policy layer: the
+//! sharded service beneath it never thins, sheds, or retries, so the
+//! thinning rule and the count it keeps are decided here and nowhere
+//! else.
+//!
 //! Queue-share accounting rides the supervised worker pipeline: every
 //! admitted batch carries an `Arc<AtomicU64>` credit that the worker
 //! releases when the batch permanently leaves the pipeline (absorbed,
 //! dropped after a double panic, or drained by the crash guard), so
 //! `inflight` is exact even across injected worker crashes.
 
-use crate::degrade::{DegradeLevel, OverloadController};
+use crate::degrade::{DegradeConfig, DegradeLevel, OverloadController};
 use crate::faults::mix64;
 use crate::service::{IngestStats, ServeConfig, ShardAggregate, ShardedService};
 use profileme_core::{ProfileDatabase, ProfileError};
@@ -347,16 +352,35 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
         }
         at += 4;
         let proto = A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?;
-        let count = read_u32(bytes, &mut at)?;
-        let mut views = Vec::with_capacity(count as usize);
+        let corrupt = |what: &str| ProfileError::Snapshot {
+            reason: format!("tenant checkpoint {what}"),
+        };
+        // Counts come from disk, so each reservation is bounded by the
+        // bytes left (a view takes at least 8, a touched id 4). Ids must
+        // be strictly increasing: `views` is binary-searched, and delta
+        // extraction looks every touched id up in it.
+        let count = read_u32(bytes, &mut at)? as usize;
+        let mut views: Vec<(u32, A)> = Vec::with_capacity(count.min((bytes.len() - at) / 8));
         for _ in 0..count {
             let id = read_u32(bytes, &mut at)?;
+            if views.last().is_some_and(|(last, _)| *last >= id) {
+                return Err(corrupt("has unsorted or duplicate view ids"));
+            }
             views.push((id, A::from_checkpoint_bytes(read_chunk(bytes, &mut at)?)?));
         }
-        let touched_count = read_u32(bytes, &mut at)?;
-        let mut touched = Vec::with_capacity(touched_count as usize);
-        for _ in 0..touched_count {
-            touched.push(read_u32(bytes, &mut at)?);
+        let count = read_u32(bytes, &mut at)? as usize;
+        let mut touched: Vec<u32> = Vec::with_capacity(count.min((bytes.len() - at) / 4));
+        for _ in 0..count {
+            let id = read_u32(bytes, &mut at)?;
+            if touched.last().is_some_and(|&last| last >= id)
+                || views.binary_search_by_key(&id, |(t, _)| *t).is_err()
+            {
+                return Err(corrupt("has an unsorted, duplicate or unknown touched id"));
+            }
+            touched.push(id);
+        }
+        if at != bytes.len() {
+            return Err(corrupt("has trailing bytes"));
         }
         Ok(Tenanted {
             proto,
@@ -510,8 +534,9 @@ impl TenantState {
     }
 }
 
-/// Configuration of the multi-tenant layer: who the tenants are and
-/// how much snapshot history to retain.
+/// Configuration of the multi-tenant layer: who the tenants are, how
+/// their admission ladders behave, and how much snapshot history to
+/// retain.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The registered tenants and their quotas. Samples for an
@@ -519,6 +544,9 @@ pub struct FleetConfig {
     pub tenants: Vec<(TenantId, TenantQuota)>,
     /// Snapshots retained in the epoch ring for time-windowed deltas.
     pub epoch_retain: usize,
+    /// The degradation ladder every tenant's admission runs: thinning
+    /// factor, pressure watermarks, and upshift cooldown.
+    pub degrade: DegradeConfig,
 }
 
 impl Default for FleetConfig {
@@ -526,6 +554,7 @@ impl Default for FleetConfig {
         FleetConfig {
             tenants: Vec::new(),
             epoch_retain: 8,
+            degrade: DegradeConfig::default(),
         }
     }
 }
@@ -535,7 +564,7 @@ impl FleetConfig {
     pub fn uniform(n: u32, quota: TenantQuota) -> FleetConfig {
         FleetConfig {
             tenants: (0..n).map(|i| (TenantId(i), quota)).collect(),
-            epoch_retain: 8,
+            ..FleetConfig::default()
         }
     }
 
@@ -543,8 +572,8 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// Rejects an empty tenant list, duplicate tenant ids, and any
-    /// invalid quota.
+    /// Rejects an empty tenant list, duplicate tenant ids, any invalid
+    /// quota, and an invalid degradation ladder.
     pub fn validate(&self) -> Result<(), ProfileError> {
         if self.tenants.is_empty() {
             return Err(ProfileError::config(
@@ -560,7 +589,7 @@ impl FleetConfig {
         for (_, quota) in &self.tenants {
             quota.validate()?;
         }
-        Ok(())
+        self.degrade.validate()
     }
 }
 
@@ -656,9 +685,8 @@ impl<A: ShardAggregate> FleetService<A> {
         fleet: FleetConfig,
     ) -> Result<FleetService<A>, ProfileError> {
         fleet.validate()?;
-        let degrade = config.degrade;
         let inner = ShardedService::start(Tenanted::new(proto), config)?;
-        Ok(FleetService::assemble(inner, fleet, degrade))
+        Ok(FleetService::assemble(inner, fleet))
     }
 
     /// [`start`](FleetService::start) with a deterministic
@@ -676,16 +704,11 @@ impl<A: ShardAggregate> FleetService<A> {
         plan: crate::faults::FaultPlan,
     ) -> Result<FleetService<A>, ProfileError> {
         fleet.validate()?;
-        let degrade = config.degrade;
         let inner = ShardedService::start_with_faults(Tenanted::new(proto), config, plan)?;
-        Ok(FleetService::assemble(inner, fleet, degrade))
+        Ok(FleetService::assemble(inner, fleet))
     }
 
-    fn assemble(
-        inner: ShardedService<Tenanted<A>>,
-        fleet: FleetConfig,
-        degrade: crate::degrade::DegradeConfig,
-    ) -> FleetService<A> {
+    fn assemble(inner: ShardedService<Tenanted<A>>, fleet: FleetConfig) -> FleetService<A> {
         let started = Instant::now();
         let mut tenants: Vec<TenantState> = fleet
             .tenants
@@ -694,7 +717,7 @@ impl<A: ShardAggregate> FleetService<A> {
                 id,
                 quota,
                 bucket: Mutex::new(TokenBucket::new(quota, 0)),
-                ladder: OverloadController::new(degrade),
+                ladder: OverloadController::new(fleet.degrade),
                 inflight: Arc::new(AtomicU64::new(0)),
                 offered: AtomicU64::new(0),
                 accepted: AtomicU64::new(0),
@@ -737,39 +760,54 @@ impl<A: ShardAggregate> FleetService<A> {
         tenant: TenantId,
         items: Vec<A::Item>,
     ) -> Result<DegradeLevel, ProfileError> {
+        self.admit_batch(tenant, items).map(|(level, _)| level)
+    }
+
+    /// [`ingest_batch`](FleetService::ingest_batch), also returning how
+    /// many items actually reached a shard ring: the kept part of a
+    /// thinned batch, 0 for a shed one, and 0 when the push hit a
+    /// crashed shard's closed ring.
+    pub(crate) fn admit_batch(
+        &self,
+        tenant: TenantId,
+        items: Vec<A::Item>,
+    ) -> Result<(DegradeLevel, u64), ProfileError> {
         let state = self.state(tenant)?;
         if items.is_empty() {
-            return Ok(state.ladder.level());
+            return Ok((state.ladder.level(), 0));
         }
         let n = items.len() as u64;
         state.offered.fetch_add(n, Ordering::Relaxed);
         let level = state.ladder.observe(state.pressure(self.now_nanos()));
-        match level {
+        let enqueued = match level {
             DegradeLevel::Full => self.admit(state, items),
             DegradeLevel::Sampled => {
                 let k = state.ladder.config().thin_k as usize;
                 let before = items.len();
-                // Deterministic 1-in-k thinning by stream position —
-                // the same rule the single-tenant adaptive path uses.
+                // Deterministic 1-in-k thinning by stream position.
                 let kept: Vec<A::Item> = items
                     .into_iter()
                     .enumerate()
                     .filter_map(|(i, item)| (i % k == 0).then_some(item))
                     .collect();
                 state.ladder.count_thinned((before - kept.len()) as u64);
-                self.admit(state, kept);
+                self.admit(state, kept)
             }
-            DegradeLevel::Shed => state.ladder.count_shed(n),
-        }
-        Ok(level)
+            DegradeLevel::Shed => {
+                state.ladder.count_shed(n);
+                0
+            }
+        };
+        Ok((level, enqueued))
     }
 
     /// Enqueues already-admitted items: tags them with the tenant id,
     /// charges the token bucket, raises the in-flight credit, and
     /// hands the batch to the inner service as one credited message.
-    fn admit(&self, state: &TenantState, items: Vec<A::Item>) {
+    /// Returns how many items were enqueued.
+    fn admit(&self, state: &TenantState, items: Vec<A::Item>) -> u64 {
         if items.is_empty() {
-            return;
+            return 0;
         }
         let n = items.len() as u64;
         {
@@ -786,6 +824,7 @@ impl<A: ShardAggregate> FleetService<A> {
         state.inflight.fetch_add(n, Ordering::Relaxed);
         let accepted = self.inner.ingest_batch_credited(tagged, &state.inflight);
         state.accepted.fetch_add(accepted, Ordering::Relaxed);
+        accepted
     }
 
     /// One snapshot cycle over the whole fleet; the merged tenant-keyed

@@ -101,6 +101,7 @@ fn fleet_config(noisy_burst: u64) -> FleetConfig {
             (TenantId(2), tight(noisy_burst)),
         ],
         epoch_retain: 8,
+        ..FleetConfig::default()
     }
 }
 
@@ -250,6 +251,7 @@ fn unregistered_tenants_and_bad_configs_are_rejected() {
             (TenantId(1), TenantQuota::default()),
         ],
         epoch_retain: 2,
+        ..FleetConfig::default()
     };
     assert!(dup.validate().is_err(), "duplicate ids are rejected");
     let zero = FleetConfig {
@@ -261,6 +263,7 @@ fn unregistered_tenants_and_bad_configs_are_rejected() {
             },
         )],
         epoch_retain: 2,
+        ..FleetConfig::default()
     };
     assert!(zero.validate().is_err(), "a zero rate is rejected");
 }
@@ -311,6 +314,77 @@ fn tenanted_checkpoint_roundtrips_with_pending_touched_set() {
     }
 }
 
+/// A small checkpoint (two tenants, tenant 1 still pending in the
+/// touched set) plus the byte offsets of its view count, each view id,
+/// and the touched count.
+fn small_checkpoint() -> (Vec<u8>, usize, Vec<usize>, usize) {
+    let s = stream();
+    let mut agg = Tenanted::new(proto());
+    for (i, sample) in s.samples.iter().take(6).enumerate() {
+        ShardAggregate::absorb(&mut agg, &(TenantId((i % 2) as u32), sample.clone()));
+    }
+    let mut base = Tenanted::new(proto());
+    agg.extract_delta_bytes(&mut base).expect("delta");
+    ShardAggregate::absorb(&mut agg, &(TenantId(1), s.samples[6].clone()));
+    let bytes = agg.checkpoint_bytes().expect("checkpoint serializes");
+
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let views_at = 8 + u32_at(4);
+    let mut at = views_at + 4;
+    let mut ids = Vec::new();
+    for _ in 0..u32_at(views_at) {
+        ids.push(at);
+        at += 8 + u32_at(at + 4);
+    }
+    (bytes, views_at, ids, at)
+}
+
+#[test]
+fn tenanted_checkpoint_refuses_hostile_images() {
+    let (bytes, views_at, ids, touched_at) = small_checkpoint();
+    let decode = |b: &[u8]| Tenanted::<ProfileDatabase>::from_checkpoint_bytes(b);
+    let restored = decode(&bytes).expect("the pristine image decodes");
+    assert_eq!(restored.len(), 2);
+    assert_eq!(ids.len(), 2);
+    assert_eq!(touched_at + 8, bytes.len(), "one pending touched id");
+    let patched = |at: usize, v: u32| {
+        let mut b = bytes.clone();
+        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        b
+    };
+
+    // Inflated counts must fail on the missing bytes, not allocate.
+    assert!(decode(&patched(views_at, u32::MAX)).is_err());
+    assert!(decode(&patched(touched_at, u32::MAX)).is_err());
+    // Every truncation, and a trailing byte.
+    for len in 0..bytes.len() {
+        assert!(decode(&bytes[..len]).is_err(), "truncated to {len} bytes");
+    }
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    assert!(decode(&trailing).is_err(), "trailing byte accepted");
+    // View ids must be strictly increasing: views are binary-searched.
+    assert!(decode(&patched(ids[1], 0)).is_err(), "duplicate view id");
+    assert!(decode(&patched(ids[0], 5)).is_err(), "unsorted view ids");
+    // A touched id must name a view (delta extraction looks it up).
+    assert!(
+        decode(&patched(touched_at + 4, 9)).is_err(),
+        "unknown touched id"
+    );
+    let mut twice = bytes.clone();
+    twice.truncate(touched_at);
+    twice.extend_from_slice(&2u32.to_le_bytes());
+    twice.extend_from_slice(&1u32.to_le_bytes());
+    twice.extend_from_slice(&1u32.to_le_bytes());
+    assert!(decode(&twice).is_err(), "duplicate touched id");
+    let mut unsorted = bytes.clone();
+    unsorted.truncate(touched_at);
+    unsorted.extend_from_slice(&2u32.to_le_bytes());
+    unsorted.extend_from_slice(&1u32.to_le_bytes());
+    unsorted.extend_from_slice(&0u32.to_le_bytes());
+    assert!(decode(&unsorted).is_err(), "unsorted touched ids");
+}
+
 #[test]
 fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
     let s = stream();
@@ -322,6 +396,7 @@ fn epoch_ring_answers_tenant_windows_and_evicts_oldest() {
         FleetConfig {
             tenants: vec![(TenantId(0), unmetered()), (TenantId(1), unmetered())],
             epoch_retain: 2,
+            ..FleetConfig::default()
         },
     )
     .expect("fleet starts");
@@ -522,4 +597,81 @@ fn tcp_rejects_unregistered_tenants_loudly() {
     client.close();
     stop_server(svc, &stop, handle);
     drop(std::fs::remove_dir_all(&dir));
+}
+
+/// A batch pushed onto a crashed shard's closed ring reaches no
+/// aggregator, so its ack must admit nothing and the tenant's
+/// `accepted` must not move.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn tcp_ack_admits_nothing_after_a_shard_crash() {
+    use profileme_core::ProfileError;
+    use profileme_serve::{FaultPlan, SuperviseConfig};
+    let svc = Arc::new(
+        FleetService::start_with_faults(
+            proto(),
+            ServeConfig::builder()
+                .shards(1)
+                .supervise(SuperviseConfig {
+                    enabled: false,
+                    ..SuperviseConfig::default()
+                })
+                .build()
+                .unwrap(),
+            FleetConfig::uniform(1, unmetered()),
+            FaultPlan::parse("panic:shard=0:nth=1").expect("plan parses"),
+        )
+        .expect("fleet starts"),
+    );
+    let server = FleetServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind");
+    let local = server.local_addr();
+    let stop = server.stop_handle();
+    let handle = std::thread::spawn(move || server.run().expect("accept loop runs"));
+    let s = stream();
+    let mut client = FleetClient::new(local.to_string(), TenantId(0), ClientConfig::default());
+
+    // The first batch reaches the ring; the worker dies absorbing it.
+    let first = client.send(&s.samples[..10]).expect("batch acknowledged");
+    assert_eq!(first.admitted, 10);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        match svc.snapshot() {
+            Err(ProfileError::WorkerCrashed { shard: 0 }) => break,
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(_) => {
+                assert!(std::time::Instant::now() < deadline, "worker never crashed");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
+
+    // The guard flags the crash just before it closes the ring, so a
+    // send in between still lands (and is later drained as dropped).
+    // Every ack must admit exactly what the tenant's `accepted` gained,
+    // and once the ring is closed that is nothing.
+    loop {
+        let accepted = svc.stats().tenants[0].accepted;
+        let ack = client.send(&s.samples[10..20]).expect("batch acknowledged");
+        assert_eq!(ack.level, DegradeLevel::Full);
+        let gained = svc.stats().tenants[0].accepted - accepted;
+        assert_eq!(ack.admitted, gained, "the ack disagrees with `accepted`");
+        if ack.admitted == 0 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "ring never closed");
+    }
+    assert!(
+        svc.stats().service.dropped >= 10,
+        "the refused batch is counted"
+    );
+
+    client.close();
+    stop.store(true, Ordering::Release);
+    handle.join().expect("accept loop exits cleanly");
+    let svc = Arc::try_unwrap(svc)
+        .unwrap_or_else(|_| panic!("service still shared after the server stopped"));
+    assert!(matches!(
+        svc.shutdown(),
+        Err(ProfileError::WorkerCrashed { shard: 0 })
+    ));
 }

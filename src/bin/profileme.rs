@@ -65,7 +65,6 @@ struct Args {
     snapshot_every: usize,
     wire: SnapshotPlane,
     deadline_ms: Option<u64>,
-    degrade: bool,
     fail_spec: String,
     // Durable-store knobs (`serve --data-dir`, `store <action>`).
     data_dir: Option<String>,
@@ -104,7 +103,6 @@ impl Default for Args {
             snapshot_every: 1,
             wire: SnapshotPlane::default(),
             deadline_ms: None,
-            degrade: false,
             fail_spec: String::new(),
             data_dir: None,
             segment_bytes: None,
@@ -185,7 +183,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("{e}"))?,
                 )
             }
-            "--degrade" if args.serve => args.degrade = true,
             "--fail-spec" if args.serve => args.fail_spec = value("--fail-spec")?,
             "--listen" if args.serve => args.listen = Some(value("--listen")?),
             "--tenants" if args.serve => {
@@ -235,7 +232,7 @@ fn parse_args() -> Result<Args, String> {
                      [--report instructions|procedures|wasted|disasm] [--json] [--list]\n       \
                      profileme serve [--workload NAME] [--interval S] [--budget INSTRUCTIONS] \
                      [--shards N] [--chunks N] [--snapshot-every N] [--wire dense|delta] \
-                     [--top N] [--deadline-ms N] [--degrade] [--fail-spec SPEC] \
+                     [--top N] [--deadline-ms N] [--fail-spec SPEC] \
                      [--data-dir DIR] [--segment-bytes N] [--compact-every N] [--json]\n       \
                      profileme serve --listen ADDR [--tenants N] [--quota RATE[:BURST[:SHARE]]] \
                      [--serve-for-ms N] [--shards N] [--json]\n       \
@@ -312,8 +309,8 @@ struct ServeStoreOutcome {
 /// the sharded service in chunks, reporting an interval delta per
 /// snapshot cycle, then cross-check the final merged database against
 /// the direct single-threaded aggregation — byte for byte when nothing
-/// was lost, by exact accounting otherwise (deadlines, degradation, and
-/// injected faults are all lossy on purpose).
+/// was lost, by exact accounting otherwise (deadlines and injected
+/// faults are lossy on purpose).
 fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), String> {
     let session = Session::builder(w.program.clone())
         .memory(w.memory.clone())
@@ -365,9 +362,7 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     let mut previous = None;
     for (i, batch) in run.samples.chunks(chunk).enumerate() {
         let batch = batch.to_vec();
-        if args.degrade {
-            svc.ingest_adaptive(batch);
-        } else if let Some(budget) = deadline {
+        if let Some(budget) = deadline {
             // A missed deadline is not fatal: the remainder is dropped
             // with accounting, which is the point of the bounded path.
             let _ = svc.ingest_deadline(batch, budget);
@@ -412,8 +407,8 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     }
     .map_err(|e| e.to_string())?;
     // Self-check: with zero losses the service must agree byte-for-byte
-    // with direct aggregation; with losses (deadlines, degradation,
-    // injected faults) every missing sample must be accounted for.
+    // with direct aggregation; with losses (deadlines, injected
+    // faults) every missing sample must be accounted for.
     let served = merged
         .encode(WireFormat::Sparse)
         .map_err(|e| e.to_string())?;
@@ -466,14 +461,13 @@ fn serve_demo(args: &Args, w: &profileme::workloads::Workload) -> Result<(), Str
     }
     println!(
         "ingest: {} enqueued, {} dropped, {} snapshot cycles ({} shards); \
-         {} worker panic(s), {} recovered; degrade level {}; {}",
+         {} worker panic(s), {} recovered; {}",
         stats.enqueued,
         stats.dropped,
         stats.snapshots,
         stats.shards,
         stats.worker_panics,
         stats.workers_recovered,
-        stats.degrade_level,
         if fidelity_ok {
             format!(
                 "final snapshot identical to direct aggregation ({} bytes)",

@@ -272,7 +272,6 @@ fn serve_json_reports_supervision_and_degradation_state() {
         "li",
         "--budget",
         "50000",
-        "--degrade",
         "--deadline-ms",
         "5000",
         "--json",
@@ -284,22 +283,13 @@ fn serve_json_reports_supervision_and_degradation_state() {
     );
     let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid json");
     let field = |k: &str| v.get(k).and_then(serde_json::Value::as_u64);
-    // The self-check surface: supervision and degradation accounting
-    // are part of the machine-readable stats.
+    // The self-check surface: supervision and loss accounting are part
+    // of the machine-readable stats. (Degradation is fleet admission's
+    // business; `serve --listen` reports it per tenant.)
     assert_eq!(field("worker_panics"), Some(0));
     assert_eq!(field("workers_recovered"), Some(0));
-    assert_eq!(field("degrade_level"), Some(0), "calm run stays at Full");
+    assert_eq!(field("lost_to_panics"), Some(0), "calm run loses nothing");
     assert_eq!(field("deadline_misses"), Some(0));
-    assert!(field("thin_scale").is_some_and(|k| k >= 1));
-    for key in [
-        "lost_to_panics",
-        "thinned",
-        "shed",
-        "downshifts",
-        "upshifts",
-    ] {
-        assert_eq!(field(key), Some(0), "{key} on a calm lossless run");
-    }
 }
 
 #[cfg(feature = "fault-injection")]
