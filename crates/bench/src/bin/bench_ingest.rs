@@ -29,7 +29,7 @@
 //! * `PROFILEME_REQUIRE_INGEST_OK=1` exits nonzero if the single-shard
 //!   service overhead vs the direct baseline exceeds 15% — the CI
 //!   regression gate for the ingest fast path. Supervision
-//!   (checkpoint plus journal) is on at its defaults, so the gate
+//!   (delta base plus journal) is on at its defaults, so the gate
 //!   prices the fault-tolerant path, with no faults firing.
 //! * `PROFILEME_REQUIRE_SHARDING_WINS=1` exits nonzero if no
 //!   multi-shard configuration beats the direct baseline in aggregate

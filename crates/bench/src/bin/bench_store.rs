@@ -8,9 +8,10 @@
 //! * **WAL-on vs WAL-off overhead**: the same sample stream aggregated
 //!   through the sharded service with and without a `data_dir`,
 //!   ingest + snapshot cycles + shutdown timed end to end (best of
-//!   `PROFILEME_BENCH_REPS`). The store's hot path is one buffered
-//!   `write` per published delta — fsync only on rotation, compaction,
-//!   and shutdown — so the overhead should stay in the noise.
+//!   `PROFILEME_BENCH_REPS`). The snapshot caller only queues each
+//!   published delta; the store's writer thread does the CRC, the
+//!   buffered `write` and the fsyncs, so what remains is the writer's
+//!   CPU, the store's open and the final sync.
 //! * **Recovery time vs log length**: uncompacted logs of growing
 //!   record counts, replayed with the read-only recovery walk. Replay
 //!   applies O(touched)-sparse deltas, so time grows with the log, not
@@ -159,11 +160,22 @@ fn service_run(
         builder = builder.data_dir(dir);
     }
     let config = builder.build().expect("config is valid");
+    // The producer's copies are made before the clock starts, and one
+    // more copy allocated after them stays alive until it stops. Made
+    // inside the timed loop, each copy either reused freed heap or
+    // faulted in fresh pages, depending on whether glibc had just
+    // trimmed the heap top after the workers freed earlier batches,
+    // and which of the two a mode got flipped with its heap layout:
+    // ~2.9k minor faults per run in one mode against a few dozen in
+    // the other. With the top pinned, the workers' frees never trim
+    // inside the timed region, in either mode.
+    let run_batches = batches.to_vec();
+    let heap_top = batches.last().cloned();
     let t = Instant::now();
     let svc = ShardedService::start(ProfileDatabase::new(&w.program, interval), config)
         .expect("service starts");
-    for (i, batch) in batches.iter().enumerate() {
-        svc.ingest_batch(batch.clone());
+    for (i, batch) in run_batches.into_iter().enumerate() {
+        svc.ingest_batch(batch);
         if (i + 1) % SNAPSHOT_EVERY == 0 {
             svc.snapshot().expect("snapshot cycles");
         }
@@ -171,6 +183,7 @@ fn service_run(
     let store = svc.store_stats();
     let (merged, stats) = svc.shutdown().expect("service drains");
     let elapsed = t.elapsed().as_secs_f64() * 1e3;
+    drop(heap_top);
     assert_eq!(stats.lost(), 0, "lossless run");
     assert_eq!(
         merged.total_samples,

@@ -53,8 +53,8 @@ pub enum WireFormat {
     Dense,
     /// The canonical sparse columnar format (`PMS1`/`PMP1` magic):
     /// varint-coded touched-row runs plus per-field columns — the
-    /// encoding the snapshot plane, checkpoints, and the durable
-    /// store all share.
+    /// encoding the snapshot plane and the durable store's images
+    /// share.
     #[default]
     Sparse,
 }
@@ -479,6 +479,15 @@ impl Deserialize for ProfileDatabase {
     }
 }
 
+/// A decoded row count, checked before it sizes an allocation: delta
+/// rows are u32-indexed, so no table this crate writes is longer, and
+/// a hostile image must not make the decoder allocate terabytes.
+fn table_len(len: u64) -> Result<usize, ProfileError> {
+    u32::try_from(len)
+        .map(|len| len as usize)
+        .map_err(|_| wire::malformed("row count exceeds u32 (delta rows are u32-indexed)"))
+}
+
 impl ProfileDatabase {
     /// Creates an empty database for `program`, recording estimates at
     /// sampling interval `interval`.
@@ -690,7 +699,7 @@ impl ProfileDatabase {
         if base % 4 != 0 {
             return Err(wire::malformed("base PC is not 4-byte aligned"));
         }
-        let len = usize::try_from(len).map_err(|_| wire::malformed("row count exceeds usize"))?;
+        let len = table_len(len)?;
         let mut db = ProfileDatabase {
             base: Pc::new(base),
             per_pc: vec![PcProfile::default(); len],
@@ -1239,7 +1248,7 @@ impl PairProfileDatabase {
         if base % 4 != 0 {
             return Err(wire::malformed("base PC is not 4-byte aligned"));
         }
-        let len = usize::try_from(len).map_err(|_| wire::malformed("row count exceeds usize"))?;
+        let len = table_len(len)?;
         let mut db = PairProfileDatabase {
             base: Pc::new(base),
             per_pc: vec![PcPairProfile::default(); len],
@@ -1539,5 +1548,23 @@ mod tests {
         db.add(&pair);
         assert_eq!(db.total_pairs, 0);
         assert_eq!(db.incomplete_pairs, 1);
+    }
+
+    #[test]
+    fn hostile_row_counts_are_refused_before_allocating() {
+        // `PMS1`, header {base 0, 2^36 rows, interval 32, 0, 0}, no row
+        // runs: 15 bytes that once asked for a 10 TB table.
+        let image = wire::encode::<PC_COLUMNS>(SNAP_MAGIC, &[0, 1 << 36, 32, 0, 0], &[]);
+        assert_eq!(image.len(), 15);
+        let err = ProfileDatabase::decode(&image).expect_err("2^36 rows is refused");
+        assert!(err.to_string().contains("row count"), "{err}");
+
+        let image = wire::encode::<PAIR_COLUMNS>(PAIR_SNAP_MAGIC, &[0, 1 << 36, 32, 8, 0, 0], &[]);
+        let err = PairProfileDatabase::decode(&image).expect_err("2^36 rows is refused");
+        assert!(err.to_string().contains("row count"), "{err}");
+
+        // A sane count still decodes.
+        let image = wire::encode::<PC_COLUMNS>(SNAP_MAGIC, &[0, 3, 32, 0, 0], &[]);
+        assert!(ProfileDatabase::decode(&image).is_ok());
     }
 }

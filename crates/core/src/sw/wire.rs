@@ -1,5 +1,5 @@
 //! The sparse columnar wire format shared by database snapshots,
-//! crash-recovery checkpoints, and epoch deltas.
+//! durable-store images, and epoch deltas.
 //!
 //! A profile database is a dense table (one row per static
 //! instruction), but at any point in a run most rows are still zero —

@@ -38,7 +38,9 @@ use std::time::Duration;
 /// What kind of misbehaviour a directive injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic inside the worker while it processes the message.
+    /// Panic inside the worker while it processes the message, after
+    /// absorbing the first half of a batch, so recovery must undo a
+    /// half-applied message.
     Panic,
     /// Sleep for the given duration before processing the message.
     Delay(Duration),

@@ -56,9 +56,9 @@ use std::time::{Duration, Instant};
 ///
 /// Implementations must make `absorb` a commutative, associative
 /// accumulation (sums, maxes over disjoint keys, …) for the service's
-/// shard-count-independence invariant to hold, and the checkpoint
-/// round-trip must be exact (`from_checkpoint_bytes(checkpoint_bytes(x))`
-/// behaves identically to `x`) for crash recovery to preserve it.
+/// shard-count-independence invariant to hold, and the delta algebra
+/// must be exact for crash recovery (a worker rebuilds from its delta
+/// base) and the snapshot plane to preserve it.
 pub trait ShardAggregate: Clone + Send + 'static {
     /// The streamed item.
     type Item: Send + 'static;
@@ -87,11 +87,11 @@ pub trait ShardAggregate: Clone + Send + 'static {
     /// docs).
     fn shard_of(item: &Self::Item, shards: usize) -> usize;
 
-    /// Serializes the accumulator as a full image — used for
-    /// crash-recovery checkpoints and the durable store's compaction
-    /// snapshots. Implementations must route through their type's one
-    /// canonical encode entry point (for the profile databases,
-    /// `encode(WireFormat::Sparse)`).
+    /// Serializes the accumulator as a full image for the durable
+    /// store's compaction snapshots (workers recover from their delta
+    /// base, never from an image). Implementations must route through
+    /// their type's one canonical encode entry point (for the profile
+    /// databases, `encode(WireFormat::Sparse)`).
     ///
     /// # Errors
     ///
@@ -298,7 +298,7 @@ pub struct ServeConfig {
     /// message, mirroring one buffered-interrupt delivery). Rounded up
     /// to the next power of two by the ring.
     pub queue_depth: usize,
-    /// Worker supervision: panic recovery via checkpoint + journal.
+    /// Worker supervision: panic recovery from delta base + journal.
     pub supervise: SuperviseConfig,
     /// Snapshot data plane: sparse deltas into a materialized view
     /// (the default), or full clones re-merged every cycle.
@@ -337,8 +337,8 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Rejects zero shards, a zero queue depth, invalid supervision or
-    /// store settings, and a store on the dense plane
+    /// Rejects zero shards, a zero queue depth, invalid store
+    /// settings, and a store on the dense plane
     /// (the WAL records the delta plane's publications).
     pub fn validate(&self) -> Result<(), ProfileError> {
         if self.shards == 0 {
@@ -350,7 +350,6 @@ impl ServeConfig {
                 "must be at least 1 (got 0)",
             ));
         }
-        self.supervise.validate()?;
         if let Some(store) = &self.store {
             store.validate()?;
             if self.plane != SnapshotPlane::Delta {
@@ -507,16 +506,14 @@ pub struct IngestStats {
     pub high_water: usize,
     /// Snapshot cycles served so far.
     pub snapshots: u64,
-    /// Worker panics caught by supervision (plus any that killed an
-    /// unsupervised worker).
+    /// Worker panics caught by supervision, including the one that
+    /// exhausts a shard's recovery budget.
     pub worker_panics: u64,
-    /// Successful worker recoveries (checkpoint + journal rebuilds).
+    /// Successful worker recoveries (delta base + journal rebuilds).
     pub workers_recovered: u64,
     /// Items absorbed into a worker state that was then lost to a
     /// twice-panicking message.
     pub lost_to_panics: u64,
-    /// Checkpoints taken across all shards.
-    pub checkpoints: u64,
     /// Deadline-bounded calls that ran out of budget.
     pub deadline_misses: u64,
     /// Delta publications shipped through the snapshot mailboxes
@@ -967,8 +964,9 @@ impl<A: ShardAggregate> ShardedService<A> {
                     for chunk in chunks {
                         // WAL first: once a delta is applied to the
                         // view it is part of every future compaction
-                        // image, so the log must already hold it for
-                        // recovery to reproduce the view exactly.
+                        // image, so it must be queued to the log ahead
+                        // of any such image for recovery to reproduce
+                        // the view exactly.
                         if let Some(store) = view.store.as_mut() {
                             store.append(&chunk)?;
                         }
@@ -1076,7 +1074,6 @@ impl<A: ShardAggregate> ShardedService<A> {
             worker_panics: sum(&|c| &c.panics),
             workers_recovered: sum(&|c| &c.recoveries),
             lost_to_panics: sum(&|c| &c.lost_to_panics),
-            checkpoints: sum(&|c| &c.checkpoints),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             deltas_published: sum(&|c| &c.deltas_published),
             delta_bytes: sum(&|c| &c.delta_bytes),

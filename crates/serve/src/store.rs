@@ -51,6 +51,8 @@ use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 const IMAGE_PREFIX: &str = "snap-";
 const IMAGE_SUFFIX: &str = ".img";
@@ -186,6 +188,20 @@ struct Replay {
     next_seq: u64,
 }
 
+impl Replay {
+    /// The recovery half of a store's counters.
+    fn stats(&self) -> StoreStats {
+        StoreStats {
+            recovered_records: self.records,
+            recovered_bytes: self.bytes,
+            dropped_tail_bytes: self.dropped_tail,
+            torn_segment: self.torn_segment,
+            torn_offset: self.torn_offset,
+            ..StoreStats::default()
+        }
+    }
+}
+
 fn image_name(seq: u64) -> String {
     format!("{IMAGE_PREFIX}{seq:08}{IMAGE_SUFFIX}")
 }
@@ -295,26 +311,145 @@ fn recover_dir<A: ShardAggregate>(
     Ok((state, replay))
 }
 
-/// The durable profile store: owns the WAL's append end and the
-/// compaction cadence for one aggregate. Opened by the service when
+/// Work for a store's writer thread, carried out in queue order.
+enum Job {
+    /// Append delta records, in order.
+    Append(Vec<Vec<u8>>),
+    /// Compact: rotate, then persist this encoded image as the new
+    /// snapshot image.
+    Compact(Vec<u8>),
+    /// Make everything queued before it durable, then reply.
+    Sync(mpsc::Sender<Result<(), ProfileError>>),
+}
+
+/// Jobs a store queues ahead of its writer before `append` blocks.
+const WRITER_QUEUE: usize = 1024;
+
+/// Record bytes a store gathers before handing them to its writer as
+/// one job: the writer then wakes once per batch of records, not once
+/// per record, and stays off the cores the shard workers need.
+const HANDOFF_BYTES: usize = 64 * 1024;
+
+/// The writer thread: owns the WAL's append end and carries out jobs
+/// in order until the store drops its sender. The first failure is
+/// recorded in `failed` and stops the thread; the store reports it
+/// from then on.
+fn run_writer(
+    mut wal: Wal,
+    dir: &Path,
+    jobs: &mpsc::Receiver<Job>,
+    failed: &Mutex<Option<ProfileError>>,
+) {
+    for job in jobs {
+        let done = match job {
+            Job::Append(records) => records.iter().try_for_each(|r| wal.append(r).map(drop)),
+            Job::Compact(image) => persist_image(&mut wal, dir, &image),
+            Job::Sync(reply) => {
+                let synced = wal.sync();
+                drop(reply.send(synced.clone()));
+                synced
+            }
+        };
+        if let Err(e) = done {
+            *failed.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
+            return;
+        }
+    }
+}
+
+/// One compaction: rotates to a fresh segment, writes `image` as the
+/// new snapshot image (temp file, fsync, atomic rename), and only then
+/// deletes the consumed segments and the superseded image. See the
+/// module docs for why this ordering is crash-safe.
+fn persist_image(wal: &mut Wal, dir: &Path, image: &[u8]) -> Result<(), ProfileError> {
+    wal.rotate()?;
+    let seq = wal.active_seq();
+    let tmp = dir.join(format!("{IMAGE_PREFIX}{seq:08}{IMAGE_TMP_SUFFIX}"));
+    let path = dir.join(image_name(seq));
+    let mut f = fs::File::create(&tmp).map_err(|e| wal::io_err("create", &tmp, e))?;
+    f.write_all(image)
+        .map_err(|e| wal::io_err("write", &tmp, e))?;
+    f.sync_all().map_err(|e| wal::io_err("sync", &tmp, e))?;
+    fs::rename(&tmp, &path).map_err(|e| wal::io_err("rename", &tmp, e))?;
+    // The image is durable under its final name: everything it
+    // supersedes can go.
+    for (old, p) in list_images(dir)? {
+        if old < seq {
+            fs::remove_file(&p).map_err(|e| wal::io_err("remove", &p, e))?;
+        }
+    }
+    for (old, p) in wal::list_segments(dir)? {
+        if old < seq {
+            fs::remove_file(&p).map_err(|e| wal::io_err("remove", &p, e))?;
+        }
+    }
+    Ok(())
+}
+
+/// The durable profile store: owns the WAL and the compaction cadence
+/// for one aggregate. Opened by the service when
 /// [`ServeConfig::store`](crate::ServeConfig) is set, or directly for
 /// offline tooling.
+///
+/// Appends and compactions are queued, in order, to a writer thread
+/// that owns the log's files, so the caller never waits on a CRC, a
+/// `write` or an fsync. Appended records are handed over
+/// [`HANDOFF_BYTES`] at a time. Nothing is durable until
+/// [`sync`](ProfileStore::sync) returns, exactly as with a buffered
+/// log. An I/O failure stops the writer, and the next call that
+/// queues work or syncs returns it. Dropping the store lets the writer
+/// finish its queue.
 pub struct ProfileStore<A: ShardAggregate> {
     cfg: StoreConfig,
-    wal: Wal,
+    /// The writer's queue; `None` only while dropping.
+    jobs: Option<mpsc::SyncSender<Job>>,
+    writer: Option<JoinHandle<()>>,
+    /// The writer's first failure.
+    failed: Arc<Mutex<Option<ProfileError>>>,
+    /// Appended records not yet handed to the writer.
+    gathered: Vec<Vec<u8>>,
+    gathered_bytes: usize,
     records_since_compact: u64,
     stats: StoreStats,
     _aggregate: PhantomData<fn() -> A>,
 }
 
 impl<A: ShardAggregate> ProfileStore<A> {
+    /// Wraps a recovered directory: opens the WAL's append end at
+    /// `replay.next_seq` and starts the writer thread.
+    fn start(cfg: StoreConfig, replay: &Replay) -> Result<ProfileStore<A>, ProfileError> {
+        let wal = Wal::open_at(&cfg.data_dir, cfg.segment_bytes, replay.next_seq)?;
+        let (jobs, queue) = mpsc::sync_channel(WRITER_QUEUE);
+        let failed = Arc::new(Mutex::new(None));
+        let writer = {
+            let dir = cfg.data_dir.clone();
+            let failed = Arc::clone(&failed);
+            std::thread::Builder::new()
+                .name("store-writer".to_string())
+                .spawn(move || run_writer(wal, &dir, &queue, &failed))
+                .map_err(|e| wal::io_err("spawn writer for", &cfg.data_dir, e))?
+        };
+        Ok(ProfileStore {
+            cfg,
+            jobs: Some(jobs),
+            writer: Some(writer),
+            failed,
+            gathered: Vec::new(),
+            gathered_bytes: 0,
+            records_since_compact: replay.records,
+            stats: replay.stats(),
+            _aggregate: PhantomData,
+        })
+    }
+
     /// Opens (creating if necessary) the store in
     /// `cfg.data_dir` and recovers its content: the newest image plus
     /// every intact WAL record after it, byte-identical to direct
     /// aggregation of everything previously appended. A torn tail is
     /// truncated — dropping exactly the record a crash tore — and a
-    /// fresh directory starts from `empty`, whose image is written
-    /// immediately so the store always recovers standalone.
+    /// fresh directory starts from `empty`, whose image is queued
+    /// first, so the store recovers standalone from its first
+    /// [`sync`](ProfileStore::sync) on.
     ///
     /// Returns the store (ready for appends) and the recovered
     /// aggregate.
@@ -329,26 +464,14 @@ impl<A: ShardAggregate> ProfileStore<A> {
         cfg.validate()?;
         fs::create_dir_all(&cfg.data_dir).map_err(|e| wal::io_err("create", &cfg.data_dir, e))?;
         let (state, replay) = recover_dir::<A>(&cfg.data_dir, Some(empty), true)?;
-        let wal = Wal::open_at(&cfg.data_dir, cfg.segment_bytes, replay.next_seq)?;
-        let mut store = ProfileStore {
-            cfg,
-            wal,
-            records_since_compact: replay.records,
-            stats: StoreStats {
-                recovered_records: replay.records,
-                recovered_bytes: replay.bytes,
-                dropped_tail_bytes: replay.dropped_tail,
-                torn_segment: replay.torn_segment,
-                torn_offset: replay.torn_offset,
-                ..StoreStats::default()
-            },
-            _aggregate: PhantomData,
-        };
+        let mut store = ProfileStore::start(cfg, &replay)?;
         if replay.image_seq.is_none() {
             // First open (or a directory missing its image): compact
-            // immediately so recovery never depends on the caller
-            // supplying the empty prototype again.
-            store.compact(&state)?;
+            // first thing so recovery stops depending on the caller
+            // supplying the empty prototype again. Until the image is
+            // durable, a crash leaves at worst no image, which this
+            // same `open` recovers from its prototype.
+            store.queue_compaction(&state)?;
         }
         Ok((store, state))
     }
@@ -365,24 +488,7 @@ impl<A: ShardAggregate> ProfileStore<A> {
     pub fn open_existing(cfg: StoreConfig) -> Result<(ProfileStore<A>, A), ProfileError> {
         cfg.validate()?;
         let (state, replay) = recover_dir::<A>(&cfg.data_dir, None, true)?;
-        let wal = Wal::open_at(&cfg.data_dir, cfg.segment_bytes, replay.next_seq)?;
-        Ok((
-            ProfileStore {
-                cfg,
-                wal,
-                records_since_compact: replay.records,
-                stats: StoreStats {
-                    recovered_records: replay.records,
-                    recovered_bytes: replay.bytes,
-                    dropped_tail_bytes: replay.dropped_tail,
-                    torn_segment: replay.torn_segment,
-                    torn_offset: replay.torn_offset,
-                    ..StoreStats::default()
-                },
-                _aggregate: PhantomData,
-            },
-            state,
-        ))
+        Ok((ProfileStore::start(cfg, &replay)?, state))
     }
 
     /// Rebuilds the aggregate from a store directory **read-only**:
@@ -395,17 +501,37 @@ impl<A: ShardAggregate> ProfileStore<A> {
     /// As [`open_existing`](ProfileStore::open_existing).
     pub fn recover(dir: &Path) -> Result<(A, StoreStats), ProfileError> {
         let (state, replay) = recover_dir::<A>(dir, None, false)?;
-        Ok((
-            state,
-            StoreStats {
-                recovered_records: replay.records,
-                recovered_bytes: replay.bytes,
-                dropped_tail_bytes: replay.dropped_tail,
-                torn_segment: replay.torn_segment,
-                torn_offset: replay.torn_offset,
-                ..StoreStats::default()
-            },
-        ))
+        Ok((state, replay.stats()))
+    }
+
+    /// Queues a job for the writer behind the gathered records, or
+    /// returns the failure that stopped it.
+    fn queue(&mut self, job: Job) -> Result<(), ProfileError> {
+        self.hand_off()?;
+        self.send(job)
+    }
+
+    /// Hands the gathered records to the writer as one job.
+    fn hand_off(&mut self) -> Result<(), ProfileError> {
+        if self.gathered.is_empty() {
+            return Ok(());
+        }
+        self.gathered_bytes = 0;
+        let records = std::mem::take(&mut self.gathered);
+        self.send(Job::Append(records))
+    }
+
+    fn send(&self, job: Job) -> Result<(), ProfileError> {
+        let jobs = self.jobs.as_ref().expect("the queue lives until drop");
+        jobs.send(job).map_err(|_| self.writer_failure())
+    }
+
+    fn writer_failure(&self) -> ProfileError {
+        self.failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+            .unwrap_or_else(|| ProfileError::store("the store writer stopped"))
     }
 
     /// Appends one sparse delta record to the WAL. The bytes must be
@@ -415,76 +541,78 @@ impl<A: ShardAggregate> ProfileStore<A> {
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError::Store`] on I/O failure.
+    /// Returns [`ProfileError::Store`] if an earlier append, compaction
+    /// or sync failed.
     pub fn append(&mut self, delta: &[u8]) -> Result<(), ProfileError> {
-        let framed = self.wal.append(delta)?;
+        if let Some(failure) = self
+            .failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            return Err(failure.clone());
+        }
+        self.gathered.push(delta.to_vec());
+        self.gathered_bytes += delta.len();
+        if self.gathered_bytes >= HANDOFF_BYTES {
+            self.hand_off()?;
+        }
         self.stats.appended_records += 1;
-        self.stats.appended_bytes += framed;
+        self.stats.appended_bytes += wal::RECORD_HEADER_BYTES + delta.len() as u64;
         self.records_since_compact += 1;
         Ok(())
     }
 
-    /// Runs a compaction if at least `compact_every` records
+    /// Queues a compaction if at least `compact_every` records
     /// accumulated since the last one. `image` must be the aggregate
     /// of *everything appended so far* (the service passes its
-    /// materialized view). Returns whether a compaction ran.
+    /// materialized view). Returns whether a compaction was queued.
     ///
     /// # Errors
     ///
-    /// As [`compact`](ProfileStore::compact).
+    /// Returns [`ProfileError::Snapshot`] if `image` fails to encode,
+    /// or [`ProfileError::Store`] if earlier work failed.
     pub fn maybe_compact(&mut self, image: &A) -> Result<bool, ProfileError> {
         if self.cfg.compact_every > 0 && self.records_since_compact >= self.cfg.compact_every {
-            self.compact(image)?;
+            self.queue_compaction(image)?;
             return Ok(true);
         }
         Ok(false)
     }
 
-    /// Compacts unconditionally: rotates to a fresh segment, writes
-    /// `image` as the new snapshot image (temp file + atomic rename),
-    /// then deletes the consumed segments and the superseded image.
-    /// See the module docs for why this ordering is crash-safe.
+    fn queue_compaction(&mut self, image: &A) -> Result<(), ProfileError> {
+        self.queue(Job::Compact(image.checkpoint_bytes()?))?;
+        self.stats.compactions += 1;
+        self.records_since_compact = 0;
+        Ok(())
+    }
+
+    /// Compacts unconditionally and waits for it: rotates to a fresh
+    /// segment, writes `image` as the new snapshot image (temp file +
+    /// atomic rename), then deletes the consumed segments and the
+    /// superseded image. See the module docs for why this ordering is
+    /// crash-safe.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::Snapshot`] if `image` fails to encode,
     /// or [`ProfileError::Store`] on I/O failure.
     pub fn compact(&mut self, image: &A) -> Result<(), ProfileError> {
-        self.wal.rotate()?;
-        let seq = self.wal.active_seq();
-        let bytes = image.checkpoint_bytes()?;
-        let dir = &self.cfg.data_dir;
-        let tmp = dir.join(format!("{IMAGE_PREFIX}{seq:08}{IMAGE_TMP_SUFFIX}"));
-        let path = dir.join(image_name(seq));
-        let mut f = fs::File::create(&tmp).map_err(|e| wal::io_err("create", &tmp, e))?;
-        f.write_all(&bytes)
-            .map_err(|e| wal::io_err("write", &tmp, e))?;
-        f.sync_all().map_err(|e| wal::io_err("sync", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| wal::io_err("rename", &tmp, e))?;
-        // The image is durable under its final name: everything it
-        // supersedes can go.
-        for (old, p) in list_images(dir)? {
-            if old < seq {
-                fs::remove_file(&p).map_err(|e| wal::io_err("remove", &p, e))?;
-            }
-        }
-        for (old, p) in wal::list_segments(dir)? {
-            if old < seq {
-                fs::remove_file(&p).map_err(|e| wal::io_err("remove", &p, e))?;
-            }
-        }
-        self.stats.compactions += 1;
-        self.records_since_compact = 0;
-        Ok(())
+        self.queue_compaction(image)?;
+        self.sync()
     }
 
-    /// Flushes the WAL's active segment to stable storage.
+    /// Waits for everything queued so far, then flushes the WAL's
+    /// active segment to stable storage.
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError::Store`] on I/O failure.
+    /// Returns [`ProfileError::Store`] on I/O failure, here or in
+    /// earlier queued work.
     pub fn sync(&mut self) -> Result<(), ProfileError> {
-        self.wal.sync()
+        let (reply, synced) = mpsc::channel();
+        self.queue(Job::Sync(reply))?;
+        synced.recv().unwrap_or_else(|_| Err(self.writer_failure()))
     }
 
     /// This store's configuration.
@@ -495,6 +623,18 @@ impl<A: ShardAggregate> ProfileStore<A> {
     /// Recovery and append counters since open.
     pub fn stats(&self) -> StoreStats {
         self.stats
+    }
+}
+
+impl<A: ShardAggregate> Drop for ProfileStore<A> {
+    /// Lets the writer finish its queue, so whoever drops the store
+    /// may reopen or remove its directory next.
+    fn drop(&mut self) {
+        drop(self.hand_off());
+        self.jobs = None;
+        if let Some(writer) = self.writer.take() {
+            drop(writer.join());
+        }
     }
 }
 
@@ -540,4 +680,34 @@ pub fn store_info(dir: &Path) -> Result<StoreInfo, ProfileError> {
         });
     }
     Ok(info)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use profileme_core::ProfileDatabase;
+
+    /// An I/O failure stops the writer thread, and every later call
+    /// that queues work or syncs reports that same failure.
+    #[test]
+    fn a_writer_failure_surfaces_at_every_later_call() {
+        let (run, program) = crate::tests::sample_run();
+        let empty = ProfileDatabase::new(&program, run.db.interval());
+        let dir = std::env::temp_dir().join(format!("pm-store-writer-{}", std::process::id()));
+        drop(fs::remove_dir_all(&dir));
+        let (mut store, state) = ProfileStore::open(StoreConfig::new(&dir), empty).unwrap();
+        store.sync().unwrap();
+        assert_eq!(
+            list_images(&dir).unwrap().len(),
+            1,
+            "the first image is durable"
+        );
+        // The next image's temporary file cannot be created in a
+        // vanished directory.
+        fs::remove_dir_all(&dir).unwrap();
+        let err = store.compact(&state).unwrap_err();
+        assert!(matches!(err, ProfileError::Store { .. }), "{err}");
+        assert_eq!(store.append(&[1, 2, 3]).unwrap_err(), err);
+        assert_eq!(store.sync().unwrap_err(), err);
+    }
 }

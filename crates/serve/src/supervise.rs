@@ -1,28 +1,28 @@
 //! Worker supervision: per-shard aggregators that survive panics.
 //!
 //! Each shard worker runs under an in-thread supervisor: message
-//! processing is wrapped in [`catch_unwind`], and the worker keeps a
-//! **checkpoint + journal** pair it can rebuild from —
+//! processing is wrapped in [`catch_unwind`], and the worker rebuilds
+//! from the state it already keeps for the snapshot plane — its
+//! **delta base** plus a **journal** of the work absorbed since:
 //!
-//! * every `checkpoint_every` messages the accumulator is serialized
-//!   (via [`ShardAggregate::checkpoint_bytes`], which reuses the
-//!   databases' canonical `encode(WireFormat::Sparse)` wire image)
-//!   and the journal
-//!   is cleared;
 //! * every successfully absorbed message is appended to the journal
 //!   (by *moving* the already-owned batch, so the lossless hot path
-//!   never clones a sample).
+//!   never clones a sample);
+//! * the journal is cleared whenever the base advances: at every delta
+//!   publication, or on the worker's own once the journal holds
+//!   [`JOURNAL_BOUND`] samples (that chunk rides the next delta
+//!   publication; the dense plane, which publishes clones, drops it).
 //!
 //! On a panic the supervisor records the failure, rebuilds the
-//! accumulator from checkpoint-plus-journal-replay, and **retries the
-//! in-flight message once**: a transient panic (the common injected
-//! case) therefore loses nothing and the recovered `snapshot()` is
-//! byte-identical to direct aggregation. A message that panics twice
-//! is dropped whole with exact accounting (`lost_to_panics`) — a
-//! crash loses at most the in-flight batch. A worker that exhausts
-//! its recovery budget (or cannot deserialize its own checkpoint)
-//! fails the shard loudly: it closes its ring so producers unblock
-//! and later `snapshot`/`shutdown` calls surface
+//! accumulator as `base.clone()` plus a replay of the journal, and
+//! **retries the in-flight message once**: a transient panic (the
+//! common injected case) therefore loses nothing and the recovered
+//! `snapshot()` is byte-identical to direct aggregation. A message
+//! that panics twice is dropped whole with exact accounting
+//! (`lost_to_panics`) — a crash loses at most the in-flight batch. A
+//! worker that exhausts its recovery budget fails the shard loudly:
+//! it settles the in-flight work, closes its ring so producers
+//! unblock, and later `snapshot`/`shutdown` calls surface
 //! [`ProfileError::WorkerCrashed`](profileme_core::ProfileError).
 //!
 //! # Snapshots without barrier round-trips
@@ -44,7 +44,6 @@
 use crate::faults::{ActiveFaults, FaultAction};
 use crate::ring::RingBuffer;
 use crate::service::{ShardAggregate, SnapshotPlane};
-use profileme_core::ProfileError;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,48 +53,30 @@ use std::time::Duration;
 /// Configuration of the per-shard supervision layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SuperviseConfig {
-    /// Whether workers recover from panics at all. Disabled, a panic
-    /// tears the worker down (the pre-supervision behavior) and
-    /// surfaces as `WorkerCrashed`.
-    pub enabled: bool,
-    /// Messages between checkpoints — also the journal's bound, and
-    /// therefore the worst-case replay length on recovery.
-    pub checkpoint_every: u32,
     /// Recoveries each shard may perform before giving up; a bound so
-    /// a deterministically-poisonous stream cannot spin forever.
+    /// a deterministically-poisonous stream cannot spin forever. `0`
+    /// fails the shard on its first panic.
     pub max_recoveries: u32,
 }
 
 impl Default for SuperviseConfig {
     fn default() -> SuperviseConfig {
         SuperviseConfig {
-            enabled: true,
-            // Checkpoints ride the sparse columnar encoding, so they
-            // cost O(touched rows) instead of a full-table serialize —
-            // cheap enough to take twice as often, halving the
-            // worst-case journal replay on recovery.
-            checkpoint_every: 16,
             max_recoveries: 1024,
         }
     }
 }
 
-impl SuperviseConfig {
-    /// Checks the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero checkpoint interval.
-    pub fn validate(&self) -> Result<(), ProfileError> {
-        if self.checkpoint_every == 0 {
-            return Err(ProfileError::config(
-                "checkpoint_every",
-                "must be at least 1 (got 0)",
-            ));
-        }
-        Ok(())
-    }
-}
+/// Samples the recovery journal holds before the worker advances its
+/// delta base on its own — the worst-case replay on recovery. Counted
+/// in samples, not messages, so the bound holds whatever the batch
+/// size: 16 of `bench_ingest`'s 4,096-sample batches.
+pub(crate) const JOURNAL_BOUND: u64 = 65_536;
+
+/// Self-advanced delta chunks a worker carries toward its next
+/// publication before folding them into one, so a service that never
+/// snapshots still holds bounded memory.
+pub(crate) const CARRY_FOLD: usize = 8;
 
 /// One unit of aggregation work (the journal's entry type).
 pub(crate) enum Work<A: ShardAggregate> {
@@ -160,8 +141,8 @@ pub(crate) enum Publication<A> {
     /// The delta plane: sparse delta chunks, oldest first, together
     /// covering everything the shard absorbed since the last chunk a
     /// requester actually consumed. Usually one chunk; more when the
-    /// worker carried forward chunks from abandoned deadline epochs
-    /// (see [`maybe_publish`]).
+    /// worker carried forward chunks from abandoned deadline epochs or
+    /// from advancing its base on its own (see [`maybe_publish`]).
     Delta(Vec<Vec<u8>>),
 }
 
@@ -267,13 +248,12 @@ pub(crate) struct ShardCounters {
     pub panics: AtomicU64,
     pub recoveries: AtomicU64,
     pub lost_to_panics: AtomicU64,
-    pub checkpoints: AtomicU64,
     /// Delta publications shipped through the snapshot mailbox.
     pub deltas_published: AtomicU64,
     /// Serialized bytes across those delta publications.
     pub delta_bytes: AtomicU64,
-    /// Set when the worker gives up (recovery budget exhausted or
-    /// checkpoint restore failed); the service reports `WorkerCrashed`.
+    /// Set when the worker gives up (recovery budget exhausted); the
+    /// service reports `WorkerCrashed`.
     pub crashed: AtomicBool,
 }
 
@@ -297,52 +277,114 @@ pub(crate) struct WorkerCtx<A: ShardAggregate> {
     pub faults: Option<Arc<ActiveFaults>>,
 }
 
-/// Applies any injected fault for this (shard, message) pair. May
-/// panic — that is the point — so callers run it under the same
-/// `catch_unwind` as the absorb itself.
-fn apply_fault<A: ShardAggregate>(ctx: &WorkerCtx<A>, idx: Option<u64>) {
-    let (Some(faults), Some(idx)) = (&ctx.faults, idx) else {
-        return;
-    };
-    match faults.action(ctx.shard, idx) {
-        None => {}
-        Some(FaultAction::Panic) => {
-            panic!("injected fault: panic at shard {} message {idx}", ctx.shard)
-        }
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        Some(FaultAction::Stall) => {
-            // Park until the service tears down; deliberately ignores
-            // ring close so deadline paths genuinely time out.
-            while !faults.stall_released() {
-                std::thread::sleep(Duration::from_millis(2));
+/// Applies any injected fault for this (shard, message) pair, then
+/// absorbs the work. May panic — that is the point — so callers run
+/// it under `catch_unwind`. An injected panic fires *mid-absorb*,
+/// after the first half of a batch is already in the accumulator, so
+/// recovery always starts from a half-updated accumulator.
+fn absorb_with_fault<A: ShardAggregate>(
+    ctx: &WorkerCtx<A>,
+    idx: Option<u64>,
+    work: &Work<A>,
+    acc: &mut A,
+) {
+    if let (Some(faults), Some(idx)) = (&ctx.faults, idx) {
+        match faults.action(ctx.shard, idx) {
+            None => {}
+            Some(FaultAction::Panic) => {
+                if let Work::Batch(items) | Work::Credited(items, _) = work {
+                    items[..items.len() / 2].iter().for_each(|i| acc.absorb(i));
+                }
+                panic!("injected fault: panic at shard {} message {idx}", ctx.shard)
+            }
+            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+            Some(FaultAction::Stall) => {
+                // Park until the service tears down; deliberately
+                // ignores ring close so deadline paths genuinely time
+                // out.
+                while !faults.stall_released() {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
             }
         }
     }
+    work.absorb_into(acc);
 }
 
-/// Rebuilds a shard accumulator from its last checkpoint plus a replay
-/// of the journal — the state exactly as of the last successfully
-/// absorbed message.
-fn rebuild<A: ShardAggregate>(
-    empty: &A,
-    checkpoint: Option<&[u8]>,
-    journal: &[Work<A>],
-) -> Result<A, ProfileError> {
-    let mut acc = match checkpoint {
-        Some(bytes) => A::from_checkpoint_bytes(bytes)?,
-        None => empty.clone(),
-    };
-    for work in journal {
-        work.absorb_into(&mut acc);
+/// A worker's recovery state: the accumulator, the delta base it last
+/// advanced to, and the journal of work absorbed since — so the
+/// accumulator is always `base` plus a replay of `journal`.
+struct Recovery<A: ShardAggregate> {
+    acc: A,
+    base: A,
+    journal: Vec<Work<A>>,
+    /// Samples in `journal`.
+    journaled: u64,
+    /// Delta-plane chunks from self-advances, awaiting the next
+    /// publication; never more than [`CARRY_FOLD`].
+    carried: Vec<Vec<u8>>,
+}
+
+impl<A: ShardAggregate> Recovery<A> {
+    /// Advances `base` to the accumulator and returns the delta between
+    /// them — O(touched rows). The journal's work is now in the base.
+    fn advance(&mut self) -> Vec<u8> {
+        self.journal.clear();
+        self.journaled = 0;
+        // Infallible by construction: the base only ever advances by
+        // syncing to the accumulator, so every counter diff is
+        // non-negative and the headers always match.
+        self.acc
+            .extract_delta_bytes(&mut self.base)
+            .expect("delta base is a past state of this accumulator")
     }
-    Ok(acc)
+
+    /// Journals absorbed work; once the journal reaches its bound,
+    /// advances the base on the worker's own.
+    fn record(&mut self, work: Work<A>, plane: SnapshotPlane, empty: &A) {
+        self.journaled += work.len();
+        self.journal.push(work);
+        if self.journaled >= JOURNAL_BOUND {
+            let chunk = self.advance();
+            if plane == SnapshotPlane::Delta {
+                carry(&mut self.carried, chunk, empty);
+            }
+        }
+    }
+
+    /// Rebuilds the accumulator after a panic that may have left it
+    /// half-updated: the state exactly as of the last successfully
+    /// absorbed message.
+    fn rebuild(&mut self) {
+        self.acc = self.base.clone();
+        for work in &self.journal {
+            work.absorb_into(&mut self.acc);
+        }
+    }
+}
+
+/// Queues a self-advanced chunk for the next delta publication,
+/// folding the queue into one chunk once it holds [`CARRY_FOLD`].
+/// Deltas add, so the folded chunk is the sum of its parts.
+fn carry<A: ShardAggregate>(carried: &mut Vec<Vec<u8>>, chunk: Vec<u8>, empty: &A) {
+    carried.push(chunk);
+    if carried.len() >= CARRY_FOLD {
+        let mut sum = empty.clone();
+        for chunk in carried.drain(..) {
+            sum.apply_delta_bytes(&chunk)
+                .expect("a chunk this worker extracted applies to its prototype");
+        }
+        let folded = sum
+            .extract_delta_bytes(&mut empty.clone())
+            .expect("the prototype is a past state of the folded sum");
+        carried.push(folded);
+    }
 }
 
 /// Marks the shard crashed and closes its ring on any abnormal worker
-/// exit — an explicit give-up *or* a panic unwinding the thread (the
-/// unsupervised path) — so producers unblock and `snapshot`/`shutdown`
-/// surface `WorkerCrashed` instead of hanging on a reply no one will
-/// ever publish.
+/// exit — an explicit give-up *or* a panic escaping supervision — so
+/// producers unblock and `snapshot`/`shutdown` surface `WorkerCrashed`
+/// instead of hanging on a reply no one will ever publish.
 struct CrashGuard<'a, A: ShardAggregate> {
     counters: &'a ShardCounters,
     ring: &'a RingBuffer<Msg<A>>,
@@ -385,14 +427,13 @@ impl<A: ShardAggregate> Drop for CrashGuard<'_, A> {
 /// watermark has been reached. `processed` counts ring positions this
 /// worker has fully handled.
 ///
-/// Dense plane (`base` is `None`): a full accumulator clone. Delta
-/// plane: the sparse delta since `base` — O(touched rows) — prefixed
-/// by any unconsumed chunks swept from abandoned epochs (see
-/// [`SnapShared`]'s "why two slots").
+/// Dense plane: a full accumulator clone. Delta plane: the sparse delta
+/// since the base — O(touched rows) — prefixed by any unconsumed chunks
+/// swept from abandoned epochs (see [`SnapShared`]'s "why two slots")
+/// and any chunks carried from self-advances.
 fn maybe_publish<A: ShardAggregate>(
     ctx: &WorkerCtx<A>,
-    acc: &mut A,
-    base: &mut Option<A>,
+    state: &mut Recovery<A>,
     processed: u64,
     last_published: &mut u64,
 ) {
@@ -401,9 +442,9 @@ fn maybe_publish<A: ShardAggregate>(
     if req == *last_published || processed < snap.watermark.load(Ordering::Acquire) {
         return;
     }
-    let publication = match base {
-        None => Publication::Full(acc.clone()),
-        Some(base) => {
+    let publication = match ctx.plane {
+        SnapshotPlane::Dense => Publication::Full(state.acc.clone()),
+        SnapshotPlane::Delta => {
             // Sweep both parity slots for abandoned, never-consumed
             // chunks — they are the only copy of their history span.
             let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(1);
@@ -413,19 +454,16 @@ fn maybe_publish<A: ShardAggregate>(
                     chunks.extend(stale);
                 }
             }
-            // Infallible by construction: the base only ever advances
-            // by syncing to the accumulator, so every counter diff is
-            // non-negative and the headers always match.
-            let chunk = acc
-                .extract_delta_bytes(base)
-                .expect("delta base is a past state of this accumulator");
+            let swept = chunks.len();
+            chunks.append(&mut state.carried);
+            chunks.push(state.advance());
+            let fresh_bytes: usize = chunks[swept..].iter().map(Vec::len).sum();
             ctx.counters
                 .deltas_published
                 .fetch_add(1, Ordering::Relaxed);
             ctx.counters
                 .delta_bytes
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            chunks.push(chunk);
+                .fetch_add(fresh_bytes as u64, Ordering::Relaxed);
             Publication::Delta(chunks)
         }
     };
@@ -450,13 +488,13 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
         snap: &ctx.snap,
         armed: true,
     };
-    let mut acc = ctx.empty.clone();
-    // Delta plane: the accumulator state as of the last delta this
-    // worker shipped. `extract_delta_bytes` advances it in O(touched).
-    let mut base = (ctx.plane == SnapshotPlane::Delta).then(|| ctx.empty.clone());
-    let mut checkpoint: Option<Vec<u8>> = None;
-    let mut journal: Vec<Work<A>> = Vec::new();
-    let mut since_checkpoint = 0u32;
+    let mut state = Recovery {
+        acc: ctx.empty.clone(),
+        base: ctx.empty.clone(),
+        journal: Vec::new(),
+        journaled: 0,
+        carried: Vec::new(),
+    };
     let mut recoveries_left = ctx.cfg.max_recoveries;
     // Ring positions fully handled; compared against snapshot
     // watermarks. Counts every message kind — Nudges occupy positions
@@ -467,7 +505,7 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
         let work = match msg {
             Msg::Nudge => {
                 processed += 1;
-                maybe_publish(&ctx, &mut acc, &mut base, processed, &mut last_published);
+                maybe_publish(&ctx, &mut state, processed, &mut last_published);
                 continue;
             }
             Msg::Work(work) => work,
@@ -476,23 +514,10 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
         // re-evaluates the same index, so one-shot faults stay one-shot.
         let fault_idx = ctx.faults.as_ref().map(|f| f.next_message(ctx.shard));
 
-        if !ctx.cfg.enabled {
-            // Unsupervised: let the panic tear the thread down. The
-            // crash guard runs during the unwind and the service
-            // reports `WorkerCrashed`.
-            apply_fault(&ctx, fault_idx);
-            work.absorb_into(&mut acc);
-            work.settle();
-            processed += 1;
-            maybe_publish(&ctx, &mut acc, &mut base, processed, &mut last_published);
-            continue;
-        }
-
         let mut absorbed = false;
         for _attempt in 0..2 {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                apply_fault(&ctx, fault_idx);
-                work.absorb_into(&mut acc);
+                absorb_with_fault(&ctx, fault_idx, &work, &mut state.acc);
             }));
             match outcome {
                 Ok(()) => {
@@ -509,38 +534,14 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
                         return;
                     }
                     recoveries_left -= 1;
-                    // The panic may have left `acc` half-updated;
-                    // rebuild it to the last consistent state.
-                    match rebuild(&ctx.empty, checkpoint.as_deref(), &journal) {
-                        Ok(rebuilt) => {
-                            acc = rebuilt;
-                            ctx.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // Cannot restore our own checkpoint: fail
-                            // the shard loudly (via the guard) rather
-                            // than serve a silently-wrong aggregate.
-                            work.settle();
-                            return;
-                        }
-                    }
+                    state.rebuild();
+                    ctx.counters.recoveries.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
         work.settle();
         if absorbed {
-            journal.push(work);
-            since_checkpoint += 1;
-            if since_checkpoint >= ctx.cfg.checkpoint_every {
-                // On serialization failure keep the journal: recovery
-                // replays more but stays exact.
-                if let Ok(bytes) = acc.checkpoint_bytes() {
-                    checkpoint = Some(bytes);
-                    journal.clear();
-                    since_checkpoint = 0;
-                    ctx.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            state.record(work, ctx.plane, &ctx.empty);
         } else {
             // Both attempts panicked: the in-flight message is lost,
             // and `acc` was rebuilt to exclude it — exact accounting.
@@ -552,8 +553,191 @@ pub(crate) fn run_worker<A: ShardAggregate>(ctx: WorkerCtx<A>) {
         // with accounting): a snapshot at this watermark must not wait
         // on a message that will never be absorbed.
         processed += 1;
-        maybe_publish(&ctx, &mut acc, &mut base, processed, &mut last_published);
+        maybe_publish(&ctx, &mut state, processed, &mut last_published);
     }
     guard.armed = false;
-    drop(ctx.done.send(acc));
+    drop(ctx.done.send(state.acc));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{ServeConfig, ShardedService};
+    use profileme_core::{ProfileDatabase, Sample, WireFormat};
+
+    /// A profiled ijpeg stream and its empty aggregate.
+    fn stream() -> (ProfileDatabase, Vec<Sample>) {
+        let (run, program) = crate::tests::sample_run();
+        (
+            ProfileDatabase::new(&program, run.db.interval()),
+            run.samples,
+        )
+    }
+
+    fn encoded(db: &ProfileDatabase) -> Vec<u8> {
+        db.encode(WireFormat::Sparse).unwrap()
+    }
+
+    #[test]
+    fn carried_chunks_fold_without_changing_their_sum() {
+        let (empty, samples) = stream();
+        let mut acc = empty.clone();
+        let mut base = empty.clone();
+        let mut carried = Vec::new();
+        for batch in samples.chunks(7).cycle().take(3 * CARRY_FOLD + 2) {
+            batch.iter().for_each(|s| acc.add(s));
+            let chunk = acc.extract_delta_bytes(&mut base).unwrap();
+            carry(&mut carried, chunk, &empty);
+            assert!(carried.len() <= CARRY_FOLD, "{} carried", carried.len());
+        }
+        assert!(carried.len() < 3 * CARRY_FOLD + 2, "the list folded");
+        let mut applied = empty.clone();
+        for chunk in &carried {
+            applied.apply_delta_bytes(chunk).unwrap();
+        }
+        assert_eq!(encoded(&applied), encoded(&acc));
+    }
+
+    /// `tests/fault_recovery.rs::recovery_replays_base_plus_journal`
+    /// copies the journal bound as a literal and places its panics
+    /// around self-advances: 512-sample batches alternating over two
+    /// shards, a snapshot every 160 batches per shard, and panics at
+    /// shard-local messages 100, 140, 200 (shard 0) and 300 (shard 1).
+    /// This pins that geometry to the real bound, so changing
+    /// [`JOURNAL_BOUND`] cannot quietly leave the test without a
+    /// self-advance.
+    #[test]
+    fn base_plus_journal_test_geometry_straddles_the_bound() {
+        const COPIED_BOUND: u64 = 65_536;
+        const BATCH: u64 = 512;
+        const PER_SHARD_INTERVAL: u64 = 160;
+        assert_eq!(
+            JOURNAL_BOUND, COPIED_BOUND,
+            "update the integration test's copy"
+        );
+        assert_eq!(JOURNAL_BOUND % BATCH, 0);
+        // The journal restarts at every snapshot, so each interval
+        // self-advances once, after this many of the shard's batches.
+        let advance_after = JOURNAL_BOUND / BATCH;
+        assert!(
+            advance_after < PER_SHARD_INTERVAL,
+            "one self-advance per interval"
+        );
+        for (message, after_advance) in [(100, false), (140, true), (200, false), (300, true)] {
+            let in_interval = (message - 1) % PER_SHARD_INTERVAL + 1;
+            assert_eq!(
+                in_interval > advance_after,
+                after_advance,
+                "message {message}"
+            );
+        }
+    }
+
+    /// Past `CARRY_FOLD + 1` journal bounds with no snapshot, the
+    /// worker has self-advanced and folded; the one snapshot still
+    /// equals direct aggregation, and its publication — one WAL record
+    /// per chunk — carried at most `CARRY_FOLD` chunks plus the fresh one.
+    #[test]
+    fn unsnapshotted_ingest_past_the_fold_stays_byte_identical() {
+        let (empty, samples) = stream();
+        let dir = std::env::temp_dir().join(format!("pm-carry-{}", std::process::id()));
+        drop(std::fs::remove_dir_all(&dir));
+        let svc = ShardedService::start(
+            empty.clone(),
+            ServeConfig::builder()
+                .shards(1)
+                .data_dir(&dir)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let total = (CARRY_FOLD + 1) * JOURNAL_BOUND as usize + 1000;
+        let stream: Vec<Sample> = samples.iter().cycle().take(total).cloned().collect();
+        let mut direct = empty;
+        for batch in stream.chunks(4096) {
+            svc.ingest_batch(batch.to_vec());
+            batch.iter().for_each(|s| direct.add(s));
+        }
+        let snap = svc.snapshot().unwrap();
+        assert_eq!(encoded(&snap.merged), encoded(&direct));
+        let records = svc.store_stats().unwrap().appended_records;
+        assert!(
+            (2..=CARRY_FOLD as u64 + 1).contains(&records),
+            "{records} chunks in one publication"
+        );
+        let (merged, stats) = svc.shutdown().unwrap();
+        assert_eq!(stats.lost(), 0);
+        assert_eq!(encoded(&merged), encoded(&direct));
+        drop(std::fs::remove_dir_all(&dir));
+    }
+
+    /// An epoch abandoned at its deadline leaves its chunk in a slot;
+    /// a self-advance then carries a second span. The next snapshot
+    /// ships both ahead of the fresh chunk, losing nothing.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn abandoned_epoch_then_self_advance_stays_byte_identical() {
+        use crate::faults::FaultPlan;
+        use profileme_core::ProfileError;
+        use std::time::Duration;
+        let (empty, samples) = stream();
+        let svc = ShardedService::start_with_faults(
+            empty.clone(),
+            ServeConfig::builder().shards(1).build().unwrap(),
+            FaultPlan::parse("delay:shard=0:nth=2:ms=500").unwrap(),
+        )
+        .unwrap();
+        let total = 20 + JOURNAL_BOUND as usize + 4096;
+        let stream: Vec<Sample> = samples.iter().cycle().take(total).cloned().collect();
+        svc.ingest_batch(stream[..10].to_vec());
+        svc.snapshot().unwrap();
+        // The worker sleeps on this batch, so the deadline abandons
+        // the epoch that covers it.
+        svc.ingest_batch(stream[10..20].to_vec());
+        assert!(matches!(
+            svc.snapshot_deadline(Duration::from_millis(10)),
+            Err(ProfileError::DeadlineExceeded { .. })
+        ));
+        // More than a journal bound before the next snapshot.
+        for batch in stream[20..].chunks(4096) {
+            svc.ingest_batch(batch.to_vec());
+        }
+        let snap = svc.snapshot().unwrap();
+        let mut direct = empty;
+        stream.iter().for_each(|s| direct.add(s));
+        assert_eq!(encoded(&snap.merged), encoded(&direct));
+        assert_eq!(svc.stats().deadline_misses, 1);
+    }
+
+    /// The dense plane advances its base only on its own; a panic
+    /// after that rebuilds from the advanced base plus the journal.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn dense_plane_recovers_across_a_self_advance() {
+        use crate::faults::FaultPlan;
+        use crate::service::SnapshotPlane;
+        let (empty, samples) = stream();
+        // 4,096-sample batches: the base advances after the 16th.
+        let svc = ShardedService::start_with_faults(
+            empty.clone(),
+            ServeConfig::builder()
+                .shards(1)
+                .plane(SnapshotPlane::Dense)
+                .build()
+                .unwrap(),
+            FaultPlan::parse("panic:shard=0:nth=10; panic:shard=0:nth=20").unwrap(),
+        )
+        .unwrap();
+        let total = 2 * JOURNAL_BOUND as usize;
+        let stream: Vec<Sample> = samples.iter().cycle().take(total).cloned().collect();
+        for batch in stream.chunks(4096) {
+            svc.ingest_batch(batch.to_vec());
+        }
+        let snap = svc.snapshot().unwrap();
+        let mut direct = empty;
+        stream.iter().for_each(|s| direct.add(s));
+        assert_eq!(encoded(&snap.merged), encoded(&direct));
+        assert_eq!(snap.stats.workers_recovered, 2);
+        assert_eq!(snap.stats.lost(), 0);
+    }
 }

@@ -196,9 +196,9 @@ pub struct Tenanted<A: ShardAggregate> {
     views: Vec<(u32, A)>,
     /// Tenant ids touched since the last delta extraction — tracked
     /// here so extraction never serializes an unchanged tenant,
-    /// independent of `A`'s wire format. Part of the checkpoint image:
-    /// a crash-rebuilt accumulator must still know which tenants its
-    /// next delta owes chunks for.
+    /// independent of `A`'s wire format. Workers recover by journal
+    /// replay, which re-marks it; the PMTC store image carries it so a
+    /// decoded image owes its next delta to the same tenants.
     touched: Vec<u32>,
 }
 
@@ -327,10 +327,8 @@ impl<A: ShardAggregate> ShardAggregate for Tenanted<A> {
             out.extend_from_slice(&id.to_le_bytes());
             push_chunk(&mut out, &view.checkpoint_bytes()?);
         }
-        // The touched set is state too: a crash-rebuilt accumulator
-        // must still know which tenants its next delta owes chunks
-        // for, or a recovery between an absorb and an extraction
-        // would silently lose that tenant's span.
+        // The touched set is state too: without it, a delta extracted
+        // from the decoded image would lose those tenants' spans.
         let mut touched = self.touched.clone();
         touched.sort_unstable();
         out.extend_from_slice(&(touched.len() as u32).to_le_bytes());
@@ -514,6 +512,7 @@ struct TenantState {
     inflight: Arc<AtomicU64>,
     offered: AtomicU64,
     accepted: AtomicU64,
+    dropped: AtomicU64,
 }
 
 impl TenantState {
@@ -606,6 +605,9 @@ pub struct TenantStats {
     pub thinned: u64,
     /// Items dropped whole at this tenant's `Shed` level.
     pub shed: u64,
+    /// Items admitted but refused by a crashed shard's closed ring, so
+    /// `offered == accepted + thinned + shed + dropped`.
+    pub dropped: u64,
     /// The tenant's current ladder position (0 = full fidelity).
     pub level: u8,
     /// This tenant's ladder downshifts.
@@ -618,9 +620,9 @@ pub struct TenantStats {
 
 /// Fleet-wide accounting: per-tenant stats plus their totals plus the
 /// underlying service's [`IngestStats`]. The fairness invariant ties
-/// them together: per-tenant `thinned`/`shed` sum to the totals, and
-/// `enqueued` on the inner service equals the sum of per-tenant
-/// `accepted`.
+/// them together: per-tenant `thinned`/`shed`/`dropped` sum to the
+/// totals, and `enqueued` on the inner service equals the sum of
+/// per-tenant `accepted`.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetStats {
     /// Per-tenant accounting, in tenant-id order.
@@ -633,6 +635,8 @@ pub struct FleetStats {
     pub thinned: u64,
     /// Σ per-tenant `shed`.
     pub shed: u64,
+    /// Σ per-tenant `dropped`.
+    pub dropped: u64,
     /// The inner sharded service's accounting.
     pub service: IngestStats,
 }
@@ -721,6 +725,7 @@ impl<A: ShardAggregate> FleetService<A> {
                 inflight: Arc::new(AtomicU64::new(0)),
                 offered: AtomicU64::new(0),
                 accepted: AtomicU64::new(0),
+                dropped: AtomicU64::new(0),
             })
             .collect();
         tenants.sort_by_key(|t| t.id);
@@ -824,6 +829,7 @@ impl<A: ShardAggregate> FleetService<A> {
         state.inflight.fetch_add(n, Ordering::Relaxed);
         let accepted = self.inner.ingest_batch_credited(tagged, &state.inflight);
         state.accepted.fetch_add(accepted, Ordering::Relaxed);
+        state.dropped.fetch_add(n - accepted, Ordering::Relaxed);
         accepted
     }
 
@@ -878,6 +884,7 @@ impl<A: ShardAggregate> FleetService<A> {
                     accepted: t.accepted.load(Ordering::Relaxed),
                     thinned,
                     shed,
+                    dropped: t.dropped.load(Ordering::Relaxed),
                     level: t.ladder.level().as_u8(),
                     downshifts,
                     upshifts,
@@ -890,6 +897,7 @@ impl<A: ShardAggregate> FleetService<A> {
             accepted: tenants.iter().map(|t| t.accepted).sum(),
             thinned: tenants.iter().map(|t| t.thinned).sum(),
             shed: tenants.iter().map(|t| t.shed).sum(),
+            dropped: tenants.iter().map(|t| t.dropped).sum(),
             service: self.inner.stats(),
             tenants,
         }

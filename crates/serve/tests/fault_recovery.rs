@@ -4,7 +4,7 @@
 //! The contract under test, end to end:
 //!
 //! * a transient worker panic (a one-shot `nth` fault) is recovered
-//!   from checkpoint + journal and the retried message is absorbed —
+//!   from the delta base + journal and the retried message is absorbed —
 //!   the merged snapshot stays **byte-identical** to direct
 //!   single-threaded aggregation;
 //! * a message that panics on the retry too (recurring `every`/`p`
@@ -108,37 +108,62 @@ fn single_panic_recovers_byte_identically() {
     }
 }
 
-/// Recovery still works when the panic lands mid-journal, across many
-/// checkpoints (small `checkpoint_every` forces several rebuild+replay
-/// cycles over real checkpoint bytes).
+/// The worker's journal bound, in samples: past it, a worker advances
+/// its delta base on its own and carries the chunk to its next
+/// publication. The crate's own tests check that this copy and the
+/// geometry below still straddle the real bound.
+const JOURNAL_BOUND: usize = 65_536;
+
+/// Recovery replays the journal on top of the delta base wherever the
+/// panic lands: before a shard's first self-advance (a long journal),
+/// just after one (a short journal over an advanced base), and across
+/// snapshots. The stream is the ijpeg stream repeated until each shard
+/// crosses the journal bound three times, with a snapshot every 160
+/// batches per shard — 81,920 samples, so every snapshot interval
+/// holds one self-advance per shard, after its 128th batch. Each
+/// injected panic fires after half its batch is absorbed, so a
+/// recovery that kept the half-updated accumulator double-counts.
 #[test]
-fn recovery_replays_checkpoint_plus_journal() {
+fn recovery_replays_base_plus_journal() {
+    const BATCH: usize = 512;
+    const SNAPSHOT_EVERY: usize = 320;
     let s = single_stream();
-    let svc = service_with(
-        "panic:shard=0:nth=7; panic:shard=0:nth=19; panic:shard=1:nth=11",
-        2,
-        SuperviseConfig {
-            checkpoint_every: 4,
-            ..SuperviseConfig::default()
-        },
+    let total = 3 * SNAPSHOT_EVERY * BATCH;
+    assert!(
+        total / 2 > 2 * JOURNAL_BOUND,
+        "each shard crosses the bound twice"
     );
-    for sample in &s.samples {
-        svc.ingest(sample.clone());
+    let stream: Vec<_> = s.samples.iter().cycle().take(total).cloned().collect();
+    // Batches alternate between the two shards, so shard-local message
+    // `m` of snapshot interval `i` is batch `2 * (160 * i + m)`.
+    let svc = service_with(
+        "panic:shard=0:nth=100; panic:shard=0:nth=140; \
+         panic:shard=0:nth=200; panic:shard=1:nth=300",
+        2,
+        SuperviseConfig::default(),
+    );
+    let mut direct = ProfileDatabase::new(&s.program, s.interval);
+    for (i, batch) in stream.chunks(BATCH).enumerate() {
+        svc.ingest_batch(batch.to_vec());
+        for sample in batch {
+            direct.add(sample);
+        }
+        if (i + 1) % SNAPSHOT_EVERY == 0 {
+            let snap = svc.snapshot().expect("snapshot survives the recoveries");
+            assert_eq!(
+                snap.merged.encode(WireFormat::Sparse).unwrap(),
+                direct.encode(WireFormat::Sparse).unwrap(),
+                "snapshot after batch {i} diverged"
+            );
+        }
     }
     let (merged, stats) = svc.shutdown().expect("service drains");
-    assert_eq!(stats.worker_panics, 3);
-    assert_eq!(stats.workers_recovered, 3);
-    assert!(stats.checkpoints > 0, "checkpoints were actually taken");
+    assert_eq!(stats.worker_panics, 4);
+    assert_eq!(stats.workers_recovered, 4);
     assert_eq!(stats.lost(), 0);
-    assert_eq!(merged.encode(WireFormat::Sparse).unwrap(), s.direct);
-    // Those checkpoints rode the sparse columnar encoding
-    // (`checkpoint_bytes` == `encode(WireFormat::Sparse)`,
-    // magic-tagged "PMS1"),
-    // and journal replay over them stayed byte-identical.
     assert_eq!(
-        &s.direct[..4],
-        b"PMS1",
-        "checkpoints use the sparse wire format"
+        merged.encode(WireFormat::Sparse).unwrap(),
+        direct.encode(WireFormat::Sparse).unwrap()
     );
 }
 
@@ -203,7 +228,7 @@ fn recurring_panics_drop_with_exact_accounting() {
     assert_eq!(stats.lost(), expected_lost);
 }
 
-/// With supervision disabled a panic kills the worker — and the crash
+/// With no recovery budget a panic kills the worker — and the crash
 /// guard still fails the shard loudly instead of hanging callers.
 #[test]
 fn unsupervised_panic_surfaces_worker_crashed() {
@@ -211,10 +236,7 @@ fn unsupervised_panic_surfaces_worker_crashed() {
     let svc = service_with(
         "panic:shard=0:nth=1",
         1,
-        SuperviseConfig {
-            enabled: false,
-            ..SuperviseConfig::default()
-        },
+        SuperviseConfig { max_recoveries: 0 },
     );
     svc.ingest(s.samples[0].clone());
     // The worker dies on that message; wait for the crash guard to
@@ -243,14 +265,7 @@ fn unsupervised_panic_surfaces_worker_crashed() {
 #[test]
 fn exhausted_recovery_budget_crashes_the_shard() {
     let s = single_stream();
-    let svc = service_with(
-        "panic:every=1",
-        1,
-        SuperviseConfig {
-            max_recoveries: 3,
-            ..SuperviseConfig::default()
-        },
-    );
+    let svc = service_with("panic:every=1", 1, SuperviseConfig { max_recoveries: 3 });
     for sample in s.samples.iter().take(50) {
         svc.ingest(sample.clone());
     }
@@ -372,9 +387,7 @@ proptest! {
             &spec,
             shards,
             SuperviseConfig {
-                checkpoint_every: 8,
                 max_recoveries: 1_000_000,
-                ..SuperviseConfig::default()
             },
         );
         for batch in s.samples.chunks(chunk) {

@@ -148,7 +148,7 @@ fn assert_fair(svc: FleetService<ProfileDatabase>, chaos: bool) {
     for t in &stats.tenants {
         assert_eq!(
             t.offered,
-            t.accepted + t.thinned + t.shed,
+            t.accepted + t.thinned + t.shed + t.dropped,
             "tenant-{} accounting is inexact: {t:?}",
             t.tenant
         );
@@ -171,6 +171,11 @@ fn assert_fair(svc: FleetService<ProfileDatabase>, chaos: bool) {
     assert_eq!(
         stats.offered,
         stats.tenants.iter().map(|t| t.offered).sum::<u64>()
+    );
+    assert_eq!(
+        stats.offered,
+        stats.accepted + stats.thinned + stats.shed + stats.dropped,
+        "the fleet totals balance"
     );
     assert_eq!(
         stats.service.enqueued, stats.accepted,
@@ -219,7 +224,7 @@ fn noisy_tenant_degrades_alone_with_exact_accounting() {
 fn fairness_survives_worker_panics_and_delays() {
     use profileme_serve::FaultPlan;
     // One transient panic plus a delayed message: supervision recovers
-    // the worker from checkpoint + journal, so the fairness and
+    // the worker from its delta base + journal, so the fairness and
     // byte-identity assertions must hold unchanged.
     let plan = FaultPlan::parse("panic:nth=3; delay:nth=5:ms=10").expect("plan parses");
     let svc = FleetService::start_with_faults(
@@ -288,8 +293,7 @@ fn tenanted_checkpoint_roundtrips_with_pending_touched_set() {
 
     // The touched set is part of the checkpoint: a delta extracted
     // after restore must match one extracted from the original, so a
-    // worker rebuilt between absorb and extraction publishes the same
-    // delta it would have published without the crash.
+    // decoded image owes its next delta to the same tenants.
     let mut agg2 = agg.clone();
     let mut base_a = Tenanted::new(proto());
     let mut base_b = Tenanted::new(proto());
@@ -612,10 +616,7 @@ fn tcp_ack_admits_nothing_after_a_shard_crash() {
             proto(),
             ServeConfig::builder()
                 .shards(1)
-                .supervise(SuperviseConfig {
-                    enabled: false,
-                    ..SuperviseConfig::default()
-                })
+                .supervise(SuperviseConfig { max_recoveries: 0 })
                 .build()
                 .unwrap(),
             FleetConfig::uniform(1, unmetered()),
@@ -663,6 +664,29 @@ fn tcp_ack_admits_nothing_after_a_shard_crash() {
     assert!(
         svc.stats().service.dropped >= 10,
         "the refused batch is counted"
+    );
+    // The crash guard settles every credit it drains, and the worker
+    // settles the batch it died on: once the drain is done, nothing is
+    // left in flight.
+    while svc.stats().tenants[0].inflight != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "in-flight credit leaked: {:?}",
+            svc.stats().tenants[0]
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = svc.stats();
+    let t = &stats.tenants[0];
+    assert_eq!(
+        t.offered,
+        t.accepted + t.thinned + t.shed + t.dropped,
+        "a refused batch is still accounted for: {t:?}"
+    );
+    assert!(t.dropped >= 10, "the refused batch is the tenant's: {t:?}");
+    assert_eq!(
+        stats.offered,
+        stats.accepted + stats.thinned + stats.shed + stats.dropped
     );
 
     client.close();

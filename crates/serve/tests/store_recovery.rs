@@ -371,6 +371,37 @@ fn interrupted_compaction_debris_is_swept() {
     assert!(!old_img.exists(), "superseded image swept");
 }
 
+/// A hostile newest image — a 15-byte `PMS1` header claiming 2^36
+/// rows — is refused by the decoder before it allocates, so the
+/// read-only walk falls back to the real image instead of aborting.
+#[test]
+fn hostile_newest_image_is_skipped_not_allocated() {
+    let tmp = TempStore::new("hostile");
+    let (prefixes, covered) = write_log(&tmp.0, 512, 5, 20);
+    assert!(covered > 0);
+    // Magic, then LEB128 header words {base 0, rows 2^36, interval 32,
+    // invalid 0, total 0}, then zero row runs.
+    let hostile = [
+        b'P', b'M', b'S', b'1', 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0x20, 0x00, 0x00, 0x00,
+    ];
+    let err = ProfileDatabase::decode(&hostile).expect_err("2^36 rows is refused");
+    assert!(err.to_string().contains("row count"), "{err}");
+    let img = tmp.0.join("snap-00009999.img");
+    fs::write(&img, hostile).unwrap();
+
+    let (recovered, _) =
+        ProfileStore::<ProfileDatabase>::recover(&tmp.0).expect("the walk falls back");
+    assert_eq!(
+        &recovered.checkpoint_bytes().unwrap(),
+        prefixes.last().unwrap(),
+        "the hostile image must not change the recovered state"
+    );
+    assert!(
+        img.exists(),
+        "the read-only walk leaves the directory alone"
+    );
+}
+
 /// The full service loop: a `ShardedService` with a `data_dir`
 /// persists across restarts — the second process picks up exactly
 /// where the first stopped, and the combined view is byte-identical
